@@ -16,15 +16,15 @@ from .families import (OPFamily, associated_family, gram_schmidt, green_seq,
                        sobolev_four_term, sobolev_higher, sobolev_three_term,
                        sobolev_three_term_sym)
 from .grid import (FieldOnGrid, LevelGrid, build_grid, count_sign_changes,
-                   harmonic_extend, restrict_edge)
+                   harmonic_extend, multiharmonic_extend, restrict_edge,
+                   vertex_data)
 from .addresses import VertexAddress, spine_address
 from .inner import (GramMatrix, SobolevParams, energy_inner, extended_inner,
                     gram_matrix, mono_inner, mono_inner_l2, poly_inner)
 from .interp import (InterpolationMatrix, NodeSet, QuadratureRule,
                      composite_quadrature, degenerate_spine_nodes,
-                     interpolation_matrix, invertibility_check,
-                     quadrature_error_study, quadrature_weights, spine_nodes,
-                     v1_nodes)
+                     interpolation_matrix, quadrature_error_study,
+                     quadrature_weights, spine_nodes, v1_nodes)
 from .odes import chi_asymptotics, higher_ode_residual, ode_residual
 from .poly import Poly
 from .rationals import Rat, rat_decimal, rat_from_str, rat_str

@@ -6,32 +6,29 @@ byte-identical output.  Numeric flags such as --chi accept exact fractions
 ("--chi 1/2").  CSV output is comma-separated UTF-8 with LF line endings and a
 header row; JSON uses a stable key order.
 
-Exit codes: 0 on success, 2 on a usage error, 3 when a runtime mathematical
-assumption is violated (or the verification suite finds an unexpected
-failure).
-
-If SGOP_CACHE_DIR is set, the coefficient memo tables are loaded from and
-persisted to that directory between runs.
+Exit codes (every non-zero one comes with a message on stderr): 0 on
+success, 2 on a usage error, 3 when a runtime mathematical assumption is
+violated (or `verify` finds an unexpected failure), 4 when two exact
+computations of the same quantity disagree (an internal consistency check).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .acceptance import run_all
 from .coeffs import TABLE
-from .errors import MathematicalAssumptionError
+from .errors import ConsistencyError, MathematicalAssumptionError
 from .families import (gram_schmidt, legendre, sobolev_four_term,
                        sobolev_higher, sobolev_three_term)
 from .grid import count_sign_changes, restrict_edge
 from .inner import SobolevParams, gram_matrix
 from .interp import (condition_inf, degenerate_spine_nodes,
-                     interpolation_matrix, invertibility_check,
-                     quadrature_error_study, quadrature_weights, spine_nodes,
-                     v1_nodes)
+                     interpolation_matrix, quadrature_error_study,
+                     quadrature_weights, spine_nodes, v1_nodes)
+from .linalg import bareiss_det
 from .odes import chi_asymptotics
 from .poly import Poly
 from .rationals import Rat, rat_decimal, rat_from_str, rat_str
@@ -47,6 +44,10 @@ def _rat(text: str):
 
 def _rat_list(text: str):
     return tuple(_rat(part) for part in text.split(","))
+
+
+class UsageError(Exception):
+    """Flags that parse one by one but do not fit together."""
 
 
 def _write(out_path: str | None, text: str) -> None:
@@ -77,7 +78,8 @@ def _params_from_args(args) -> SobolevParams:
     if len(chis) == 1 and order > 1:
         chis = chis * order
     if len(chis) != order:
-        raise SystemExit(2)
+        raise UsageError(f"--chi gives {len(chis)} weights; --m {order} needs "
+                         f"1 or {order}")
     return SobolevParams.of_weights((Rat(1),) + tuple(chis))
 
 
@@ -146,15 +148,16 @@ def cmd_eval(args) -> int:
 
 def cmd_zeros(args) -> int:
     params = _params_from_args(args)
+    whiches = args.which.split(",")
+    if not set(whiches) <= {"legendre", "sobolev"}:
+        raise UsageError(f"--which takes legendre and/or sobolev, not {args.which!r}")
     rows = []
-    for which in args.which.split(","):
+    for which in whiches:
         if which == "legendre":
             poly = legendre(args.family, args.degree).polys[args.degree]
-        elif which == "sobolev":
+        else:
             poly = _build_family(args.family, params, args.degree,
                                  "recurrence").polys[args.degree]
-        else:
-            raise SystemExit(2)
         solve_level = (args.solve_level if args.solve_level is not None
                        else args.level + 2)
         field = eval_poly_grid(poly, args.level, solve_level)
@@ -174,20 +177,22 @@ def cmd_interp(args) -> int:
         nodes = degenerate_spine_nodes(args.n)
     else:
         if args.n != 1:
-            raise SystemExit(2)
+            raise UsageError(f"--nodes v1 is the degree-1 set; it needs --n 1, "
+                             f"not --n {args.n}")
         nodes = v1_nodes()
     matrix = interpolation_matrix(nodes)
-    chk = invertibility_check(matrix)
+    det = bareiss_det(matrix.entries)
+    # every entry is exact, so the determinant carries no error bound
     payload = {
         "nodes": args.nodes,
         "n": args.n,
         "node_addresses": [str(a) for a in nodes.nodes],
-        "fully_exact": matrix.fully_exact,
-        "det": rat_str(chk["det"]),
-        "det_decimal": rat_decimal(chk["det"], args.digits),
-        "det_error_bound": rat_str(chk["error_bound"]),
+        "fully_exact": True,
+        "det": rat_str(det),
+        "det_decimal": rat_decimal(det, args.digits),
+        "det_error_bound": "0",
     }
-    if chk["det"] != 0:
+    if det != 0:
         payload["condition_inf"] = condition_inf(matrix)
     if args.matrix:
         payload["matrix"] = matrix.to_json_dict()
@@ -201,7 +206,7 @@ def cmd_quad(args) -> int:
         _write(args.out, _json(rule.to_json_dict()))
         return 0
     f = Poly.monomial(args.study_degree, args.study_family)
-    rows = quadrature_error_study(args.n, f, args.m_max, solve_pad=args.solve_pad)
+    rows = quadrature_error_study(args.n, f, args.m_max)
     table = []
     for r in rows:
         table.append((r["m"], rat_decimal(r["estimate"], args.digits),
@@ -225,7 +230,8 @@ def cmd_verify(args) -> int:
     lines = []
     ok = True
     for r in results:
-        lines.append(f"{r.status:18s} {r.name:{width}s} [{r.seconds:6.2f}s] {r.detail}")
+        lines.append(f"{r.status:18s} {r.name:{width}s} {r.detail}")
+        print(f"{r.seconds:7.2f}s {r.name}", file=sys.stderr)
         ok = ok and r.ok
     lines.append("summary: " + ("all checks passed (documented exceptions "
                                 "reported above)" if ok else "UNEXPECTED FAILURES"))
@@ -318,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the error study for the monomial of this degree")
     p.add_argument("--study-family", type=int, choices=(1, 2, 3), default=1)
     p.add_argument("--m-max", type=int, default=4)
-    p.add_argument("--solve-pad", type=int, default=2)
     add_common(p)
     p.set_defaults(fn=cmd_quad)
 
@@ -343,25 +348,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    cache_dir = os.environ.get("SGOP_CACHE_DIR")
-    if cache_dir:
-        try:
-            TABLE.load(cache_dir)
-        except (OSError, ValueError, KeyError):
-            pass  # a stale cache must never break a run
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.fn(args)
+        return args.fn(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except MathematicalAssumptionError as exc:
         print(f"mathematical assumption violated: {exc}", file=sys.stderr)
         return 3
-    if cache_dir:
-        try:
-            TABLE.save(cache_dir)
-        except OSError:
-            pass
-    return code
+    except ConsistencyError as exc:
+        print(f"internal consistency check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -25,11 +25,9 @@ table is safe for concurrent readers.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 
-from .rationals import Rat, ZERO, rat_from_str, rat_str
+from .rationals import Rat, ZERO
 
 Q0, Q1, Q2 = 0, 1, 2
 FAMILIES = (1, 2, 3)
@@ -147,40 +145,6 @@ class CoeffTable:
         if k == 2:
             return -2 * self.alpha(j + 1)
         return ZERO  # k=3 is anti-symmetric
-
-    # -- cache persistence ----------------------------------------------------
-
-    def save(self, directory: str) -> str:
-        """Persist the memo tables as a keyed (index -> "p/q") JSON file."""
-        path = os.path.join(directory, "sgortho_coeffs.json")
-        with self._lock:
-            payload = {
-                "alpha": {str(i): rat_str(v) for i, v in enumerate(self._alpha)},
-                "beta": {str(i): rat_str(v) for i, v in enumerate(self._beta)},
-                "eta": {str(i): rat_str(v) for i, v in enumerate(self._eta)},
-            }
-        os.makedirs(directory, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        return path
-
-    def load(self, directory: str) -> bool:
-        """Load persisted tables if present; ignores shorter-than-current data."""
-        path = os.path.join(directory, "sgortho_coeffs.json")
-        if not os.path.exists(path):
-            return False
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-
-        def as_list(d):
-            return [rat_from_str(d[str(i)]) for i in range(len(d))]
-
-        with self._lock:
-            for name, attr in (("alpha", "_alpha"), ("beta", "_beta"), ("eta", "_eta")):
-                loaded = as_list(payload.get(name, {}))
-                if len(loaded) > len(getattr(self, attr)):
-                    setattr(self, attr, loaded)
-        return True
 
 
 def _check_jk(j: int, k: int) -> None:

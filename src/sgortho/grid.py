@@ -7,10 +7,13 @@ exact rational per vertex; decimal output is a rendering choice only.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from itertools import product
 
 from .addresses import VertexAddress
+from .errors import ConsistencyError
+from .poly import Poly
 from .rationals import ZERO, Rat, rat_decimal
 
 _SQRT3 = Rat(1732050807568877293527446341505872366943, 10**39)  # sqrt(3) to 39 digits
@@ -76,9 +79,9 @@ def build_grid(m: int) -> LevelGrid:
 class FieldOnGrid:
     """Exact rational values attached to every vertex of a level grid.
 
-    Values solve the stated discrete problem exactly (the arithmetic is
-    rational throughout); any approximation error is purely the discretization
-    of the continuous operator, never roundoff.
+    Either the exact values of a polynomial (`multiharmonic_extend`) or the
+    exact solution of a collocation problem (the solver), whose only error is
+    the discretization of the continuous operator, never roundoff.
     """
 
     grid: LevelGrid
@@ -109,32 +112,96 @@ class FieldOnGrid:
                    rat_decimal(self.values[i], digits))
 
 
-def harmonic_extend(boundary, m: int) -> FieldOnGrid:
-    """Exact harmonic extension of three corner values to the level-m grid.
+_weights: list[tuple] = []
+_weights_lock = threading.Lock()  # extension appends by index
 
-    Within every cell the midpoint of two corners takes (2a+2b+c)/5 of the
-    corner values (a, b adjacent, c opposite); applied recursively this is the
-    unique energy-minimizing extension.
+
+def midpoint_weights(s: int) -> tuple:
+    """The pair (w_s, v_s) of the exact midpoint rule, fitted once per s.
+
+    With L_x[s] = Lap^s u(x), a polynomial u takes the value
+    sum_s w_s (L_a[s] + L_b[s]) + v_s L_c[s] at the midpoint of corners a, b
+    (c opposite): iterated Dirichlet data fix u, and the reflection swapping
+    a and b fixes the midpoint.  (w_s, v_s) solves the k=2,3 equations for
+    P_{s,k} at F_0(q1) exactly; the k=1 one must then hold too.  Inside an
+    n-cell Lap^s(u o F_w) = 5^(-sn) (Lap^s u) o F_w scales the pair.
+    (w_0, v_0) = (2/5, 1/5) is the harmonic rule.
     """
+    with _weights_lock:
+        while len(_weights) <= s:
+            t = len(_weights)
+            rows = []
+            for k in (1, 2, 3):
+                mono = Poly.monomial(t, k)
+                a, b, c = mono.dirichlet_data()
+                lower = sum((w * (a[i] + b[i]) + v * c[i]
+                             for i, (w, v) in enumerate(_weights)), ZERO)
+                rows.append((a[t] + b[t], c[t], mono.eval_spine(1, 1) - lower))
+            (x1, y1, r1), (x2, y2, r2), (x3, y3, r3) = rows
+            det = x2 * y3 - x3 * y2
+            w, v = (r2 * y3 - r3 * y2) / det, (x2 * r3 - x3 * r2) / det
+            if w * x1 + v * y1 != r1:
+                raise ConsistencyError(f"midpoint rule of order {t} misses P_({t},1)")
+            _weights.append((w, v))
+        return _weights[s]
+
+
+def _cell_weights(level: int, degree: int) -> list:
+    """(w_s, v_s) / 5^(s*level): the rule inside a level-`level` cell."""
+    return [tuple(x / 5 ** (s * level) for x in midpoint_weights(s))
+            for s in range(degree + 1)]
+
+
+def _midpoint(a, b, c, weights) -> tuple:
+    """Iterated Laplacian data at the midpoint of corners a, b (c opposite)."""
+    ab = [x + y for x, y in zip(a, b)]
+    return tuple(sum(w * x + v * y for (w, v), x, y in zip(weights, ab[t:], c[t:]))
+                 for t in range(len(a)))
+
+
+def _split(corners, weights) -> tuple:
+    """Corner data of the three subcells of a cell with corner data `corners`."""
+    a0, a1, a2 = corners
+    m01 = _midpoint(a0, a1, a2, weights)
+    m02 = _midpoint(a0, a2, a1, weights)
+    m12 = _midpoint(a1, a2, a0, weights)
+    return (a0, m01, m02), (m01, a1, m12), (m02, m12, a2)
+
+
+def vertex_data(data, addr: VertexAddress) -> tuple:
+    """Exact iterated Laplacian data at one vertex, from the corner data
+    `data` = (L_q0, L_q1, L_q2), by descending the cells of its word."""
+    corners = data
+    for level, letter in enumerate(addr.word):
+        corners = _split(corners, _cell_weights(level, len(corners[0]) - 1))[letter]
+    return corners[addr.corner]
+
+
+def multiharmonic_extend(data, m: int) -> FieldOnGrid:
+    """Exact values on the level-m grid of the polynomial with corner data
+    `data` = (L_q0, L_q1, L_q2), each L listing Lap^s u(q) for s <= degree."""
     grid = build_grid(m)
     values: list = [None] * len(grid.vertices)
-    b = tuple(Rat(v) for v in boundary)
+    degree = len(data[0]) - 1
+    weights = [_cell_weights(level, degree) for level in range(m)]
 
     def fill(word, corners):
         if len(word) == m:
             for c in range(3):
-                values[grid.index[VertexAddress.make(word, c)]] = corners[c]
+                values[grid.index[VertexAddress.make(word, c)]] = corners[c][0]
             return
-        a0, a1, a2 = corners
-        m01 = (2 * a0 + 2 * a1 + a2) / 5
-        m02 = (2 * a0 + 2 * a2 + a1) / 5
-        m12 = (2 * a1 + 2 * a2 + a0) / 5
-        fill(word + (0,), (a0, m01, m02))
-        fill(word + (1,), (m01, a1, m12))
-        fill(word + (2,), (m02, m12, a2))
+        for letter, sub in enumerate(_split(corners, weights[len(word)])):
+            fill(word + (letter,), sub)
 
-    fill((), b)
+    fill((), data)
     return FieldOnGrid(grid, values)
+
+
+def harmonic_extend(boundary, m: int) -> FieldOnGrid:
+    """Exact harmonic extension of three corner values to the level-m grid:
+    the degree-0 case of `multiharmonic_extend`, where every midpoint takes
+    (2a+2b+c)/5 of the corner values (a, b adjacent, c opposite)."""
+    return multiharmonic_extend([(Rat(v),) for v in boundary], m)
 
 
 EDGE_LETTERS = {"bottom": (1, 2), "left": (0, 1), "right": (0, 2)}

@@ -8,7 +8,8 @@ invertible.  The spine node family
 
 does so whenever no beta_j vanishes (asserted for j <= 50): the scaling laws
 turn each family block into a scaled Vandermonde matrix in powers of 1/5.
-All entries are exact there, so determinants and quadrature weights are exact.
+Every entry is exact (closed forms on the spine, the exact midpoint rule of
+the grid layer elsewhere), so determinants and quadrature weights are exact.
 
 The order-n quadrature rule solves the moment system M^T w = integrals and is
 exact on all polynomials of degree <= n; the composite rule applies it to
@@ -25,12 +26,11 @@ from dataclasses import dataclass
 from .addresses import VertexAddress, mapped, spine_address
 from .coeffs import TABLE
 from .errors import ConsistencyError
-from .grid import FieldOnGrid
+from .grid import cell_words, multiharmonic_extend, vertex_data
 from .inner import basis_indices
-from .linalg import bareiss_det, inf_norm, inverse_exact, minor_det, solve_exact
+from .linalg import bareiss_det, inf_norm, inverse_exact, solve_exact
 from .poly import Poly
 from .rationals import Rat, ZERO, rat_str
-from .solver import eval_poly_grid
 
 
 @dataclass(frozen=True)
@@ -65,38 +65,16 @@ def v1_nodes() -> NodeSet:
     return NodeSet(nodes=tuple(grid_order), n=1)
 
 
-def eval_monomial_at(j: int, k: int, addr: VertexAddress,
-                     field_cache: dict | None = None, solve_pad: int = 2):
-    """Value of P_{j,k} at a vertex: exact on the spine, on the symmetry axis
-    for k=3, and for harmonic monomials; otherwise from the grid solver.
-
-    Returns (value, exact_flag, error_estimate)."""
+def eval_monomial_at(j: int, k: int, addr: VertexAddress):
+    """Exact value of P_{j,k} at a vertex: closed forms on the spine and at
+    the corners, the exact midpoint rule of the grid layer elsewhere."""
     depth = addr.spine_depth()
     mono = Poly.monomial(j, k)
     if depth is not None:
-        return mono.eval_spine(depth, addr.corner), True, ZERO
+        return mono.eval_spine(depth, addr.corner)
     if addr.is_boundary():
-        return TABLE.value(j, k, addr.corner), True, ZERO
-    if k == 3 and addr.reflect() == addr:
-        return ZERO, True, ZERO  # anti-symmetric on the symmetry axis
-    if j == 0:
-        from .grid import harmonic_extend
-        fld = harmonic_extend([TABLE.value(0, k, v) for v in (0, 1, 2)], addr.level)
-        return fld.value_at(addr), True, ZERO
-    level = addr.level
-    cache = field_cache if field_cache is not None else {}
-    key = (j, k, level)
-    if key not in cache:
-        cache[key] = (eval_poly_grid(mono, level, level + solve_pad),
-                      eval_poly_grid(mono, level, level + solve_pad - 1))
-    fine, coarse = cache[key]
-    value = fine.value_at(addr)
-    if j == 1:
-        # degree-1 collocation loads are harmonic, hence discretely harmonic,
-        # so the solve reproduces the true values with no discretization error
-        return value, True, ZERO
-    est = abs(value - coarse.value_at(addr))
-    return value, False, est
+        return TABLE.value(j, k, addr.corner)
+    return vertex_data(mono.dirichlet_data(), addr)[0]
 
 
 @dataclass
@@ -105,12 +83,6 @@ class InterpolationMatrix:
 
     node_set: NodeSet
     entries: list            # rows = nodes, cols = monomials, exact rationals
-    exact: list              # per-entry bool flags
-    error_bounds: list       # per-entry uncertainty (0 where exact)
-
-    @property
-    def fully_exact(self) -> bool:
-        return all(all(row) for row in self.exact)
 
     def to_json_dict(self) -> dict:
         return {
@@ -118,7 +90,7 @@ class InterpolationMatrix:
             "nodes": [str(a) for a in self.node_set.nodes],
             "basis": [[j, k] for j, k in basis_indices("mixed", self.node_set.n)],
             "entries": [[rat_str(x) for x in row] for row in self.entries],
-            "exact": self.exact,
+            "exact": [[True] * len(row) for row in self.entries],
         }
 
 
@@ -128,37 +100,9 @@ def interpolation_matrix(nodes: NodeSet, n: int | None = None) -> InterpolationM
     basis = basis_indices("mixed", n)
     if len(nodes.nodes) != len(basis):
         raise ValueError(f"need {len(basis)} nodes for degree {n}")
-    cache: dict = {}
-    entries, exact, bounds = [], [], []
-    for addr in nodes.nodes:
-        row_v, row_e, row_b = [], [], []
-        for (j, k) in basis:
-            v, ex, est = eval_monomial_at(j, k, addr, cache)
-            row_v.append(v)
-            row_e.append(ex)
-            row_b.append(est)
-        entries.append(row_v)
-        exact.append(row_e)
-        bounds.append(row_b)
-    return InterpolationMatrix(node_set=nodes, entries=entries,
-                               exact=exact, error_bounds=bounds)
-
-
-def invertibility_check(matrix: InterpolationMatrix) -> dict:
-    """Exact determinant when all entries are exact; otherwise the determinant
-    of the computed matrix with a first-order certified error bound
-
-        |det(true) - det(computed)| <= sum_ij |cofactor_ij| * bound_ij.
-    """
-    det = bareiss_det(matrix.entries)
-    if matrix.fully_exact:
-        return {"exact": True, "det": det, "error_bound": ZERO}
-    bound = ZERO
-    for i, row in enumerate(matrix.error_bounds):
-        for j, eps in enumerate(row):
-            if eps != 0:
-                bound += abs(minor_det(matrix.entries, i, j)) * eps
-    return {"exact": False, "det": det, "error_bound": bound}
+    entries = [[eval_monomial_at(j, k, addr) for (j, k) in basis]
+               for addr in nodes.nodes]
+    return InterpolationMatrix(node_set=nodes, entries=entries)
 
 
 def condition_inf(matrix: InterpolationMatrix) -> float:
@@ -211,25 +155,21 @@ def node_depth(rule: QuadratureRule) -> int:
     return max(a.level for a in rule.nodes.nodes)
 
 
-def composite_quadrature(rule: QuadratureRule, m: int, f,
-                         solve_pad: int = 2, field: FieldOnGrid | None = None):
+def composite_quadrature(rule: QuadratureRule, m: int, f):
     """Composite rule sum over all (m-n)-cells with measure factor 3^{-(m-n)}.
 
-    `f` may be a Poly (evaluated once on a covering grid via the exact solver)
-    or a callable address -> value.  Cells are reduced in lexicographic order,
-    so the result is reproducible bit for bit.
+    `f` may be a Poly (evaluated exactly on a covering grid by the midpoint
+    rule) or a callable address -> value.  Cells are reduced in lexicographic
+    order, so the result is reproducible bit for bit.
     """
     if m < rule.n:
         raise ValueError("composite level must be >= rule order")
     depth = m - rule.n
     if isinstance(f, Poly):
-        level = depth + node_depth(rule)
-        if field is None or field.grid.m < level:
-            field = eval_poly_grid(f, level, level + solve_pad)
-        evaluate = field.value_at
+        evaluate = multiharmonic_extend(f.dirichlet_data(),
+                                        depth + node_depth(rule)).value_at
     else:
         evaluate = f
-    from .grid import cell_words
     factor = Rat(1, 3**depth)
     total = ZERO
     for word in cell_words(depth):
@@ -239,7 +179,7 @@ def composite_quadrature(rule: QuadratureRule, m: int, f,
     return factor * total
 
 
-def quadrature_error_study(n: int, f: Poly, m_max: int, solve_pad: int = 2):
+def quadrature_error_study(n: int, f: Poly, m_max: int):
     """Exact-error table of the composite rule against the exact integral.
 
     Returns rows {m, estimate, exact, abs_error, ratio} with the ratio of the
@@ -250,7 +190,7 @@ def quadrature_error_study(n: int, f: Poly, m_max: int, solve_pad: int = 2):
     rows = []
     prev_err = None
     for m in range(n, m_max + 1):
-        est = composite_quadrature(rule, m, f, solve_pad=solve_pad)
+        est = composite_quadrature(rule, m, f)
         err = abs(est - exact)
         row = {"m": m, "estimate": est, "exact": exact, "abs_error": err}
         if prev_err is not None and err != 0:

@@ -77,11 +77,5 @@ def inverse_exact(matrix):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def minor_det(matrix, skip_row: int, skip_col: int):
-    sub = [[x for c, x in enumerate(row) if c != skip_col]
-           for r, row in enumerate(matrix) if r != skip_row]
-    return bareiss_det(sub)
-
-
 def inf_norm(matrix):
     return max(sum(abs(x) for x in row) for row in matrix)

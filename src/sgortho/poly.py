@@ -13,7 +13,7 @@ so that Laplacian(G f) = f and G f vanishes at all three corners.
 
 from __future__ import annotations
 
-from .coeffs import TABLE, CoeffTable, FAMILIES
+from .coeffs import TABLE, FAMILIES
 from .rationals import ZERO, Rat, rat_str
 
 Index = tuple[int, int]
@@ -110,7 +110,7 @@ class Poly:
             out = out.laplacian()
         return out
 
-    def green(self, table: CoeffTable = TABLE) -> "Poly":
+    def green(self) -> "Poly":
         """Apply the Dirichlet Green operator (right inverse of the Laplacian)."""
         if self.base_point != 0 and self.coeffs:
             raise ValueError("Green operator is defined for base point 0 only")
@@ -122,39 +122,45 @@ class Poly:
         for (l, k), c in self.coeffs.items():
             add((l + 1, k), c)
             if k == 1:
-                add((0, 2), 2 * table.alpha(l + 1) * c)
+                add((0, 2), 2 * TABLE.alpha(l + 1) * c)
             elif k == 2:
-                add((0, 2), 2 * table.beta(l + 1) * c)
+                add((0, 2), 2 * TABLE.beta(l + 1) * c)
             else:
-                add((0, 3), -2 * table.gamma(l + 1) * c)
+                add((0, 3), -2 * TABLE.gamma(l + 1) * c)
         return Poly(out, 0)
 
-    def green_power(self, n: int, table: CoeffTable = TABLE) -> "Poly":
+    def green_power(self, n: int) -> "Poly":
         out = self
         for _ in range(n):
-            out = out.green(table)
+            out = out.green()
         return out
 
     # -- boundary data ------------------------------------------------------------
 
-    def boundary_value(self, vertex: int, table: CoeffTable = TABLE):
+    def boundary_value(self, vertex: int):
         """Exact value at corner q_vertex (base point 0 only)."""
         self._require_base0()
-        return sum((c * table.value(j, k, vertex) for (j, k), c in self.coeffs.items()),
+        return sum((c * TABLE.value(j, k, vertex) for (j, k), c in self.coeffs.items()),
                    ZERO)
 
-    def normal_derivative(self, vertex: int, table: CoeffTable = TABLE):
+    def normal_derivative(self, vertex: int):
         """Exact normal derivative at corner q_vertex (base point 0 only)."""
         self._require_base0()
-        return sum((c * table.normal(j, k, vertex) for (j, k), c in self.coeffs.items()),
+        return sum((c * TABLE.normal(j, k, vertex) for (j, k), c in self.coeffs.items()),
                    ZERO)
 
-    def integral(self, table: CoeffTable = TABLE):
+    def dirichlet_data(self) -> tuple:
+        """Iterated Dirichlet data: for each corner q_i, the values
+        Lap^s f(q_i) for s <= degree (base point 0 only).  They fix f."""
+        chain = [self.laplacian_power(s) for s in range(max(self.degree, 0) + 1)]
+        return tuple(tuple(p.boundary_value(i) for p in chain) for i in range(3))
+
+    def integral(self):
         """Exact integral against the self-similar probability measure."""
-        return sum((c * table.integral(j, k) for (j, k), c in self.coeffs.items()),
+        return sum((c * TABLE.integral(j, k) for (j, k), c in self.coeffs.items()),
                    ZERO)
 
-    def eval_spine(self, depth: int, target: int, table: CoeffTable = TABLE):
+    def eval_spine(self, depth: int, target: int):
         """Exact value at F_0^depth(q_target), target in {1,2}, via scaling laws.
 
         P_{j,1}(F_0^m x) = 5^{-jm} P_{j,1}(x); the k=2 family picks up an extra
@@ -170,11 +176,11 @@ class Poly:
         m = depth
         for (j, k), c in self.coeffs.items():
             if k == 1:
-                total += c * Rat(1, 5 ** (j * m)) * table.alpha(j)
+                total += c * Rat(1, 5 ** (j * m)) * TABLE.alpha(j)
             elif k == 2:
-                total += c * Rat(3 ** m, 5 ** ((j + 1) * m)) * table.beta(j)
+                total += c * Rat(3 ** m, 5 ** ((j + 1) * m)) * TABLE.beta(j)
             else:
-                v = c * Rat(1, 5 ** ((j + 1) * m)) * table.gamma(j)
+                v = c * Rat(1, 5 ** ((j + 1) * m)) * TABLE.gamma(j)
                 total += v if target == 1 else -v
         return total
 

@@ -35,10 +35,29 @@ def rat_from_str(text: str):
     return Rat(text.strip())
 
 
+# Digits per chunk in _int_str: below CPython's smallest allowed limit on
+# int-to-str conversion (640 digits), so any limit setting is respected.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _int_str(n) -> str:
+    """Decimal digits of an integer of any size, converted in chunks small
+    enough for CPython's int-to-str digit limit."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    sign, n = ("-" if n < 0 else ""), abs(n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    return sign + str(n) + "".join(reversed(chunks))
+
+
 def rat_str(value) -> str:
     """Canonical 'p/q' (or 'p' when integral) rendering, identical across backends."""
-    n, d = value.numerator, value.denominator
-    return str(n) if d == 1 else f"{n}/{d}"
+    n, d = _int_str(value.numerator), _int_str(value.denominator)
+    return n if d == "1" else f"{n}/{d}"
 
 
 def rat_decimal(value, digits: int = 12) -> str:

@@ -1,12 +1,11 @@
-"""Command-line interface: formats, determinism, exit codes, cache env var."""
+"""Command-line interface: formats, determinism, exit codes."""
 
 import json
-import os
 import subprocess
 import sys
 
 from sgortho import cli
-from sgortho.errors import MathematicalAssumptionError
+from sgortho.errors import ConsistencyError, MathematicalAssumptionError
 from sgortho.rationals import Rat
 
 
@@ -140,6 +139,12 @@ def test_determinism_byte_identical():
     args = ["eval", "--family", "2", "--degree", "2", "--chi", "1",
             "--level", "2"]
     assert run_cli(args).stdout == run_cli(args).stdout
+    args = ["verify", "--quick"]
+    first = run_cli(args)
+    second = run_cli(args)
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
+    assert "exact-orthogonality" in first.stderr  # per-check seconds
 
 
 def test_usage_error_exit_code_2():
@@ -153,6 +158,37 @@ def test_usage_error_exit_code_2():
     assert proc.returncode == 2
 
 
+def test_usage_error_chi_count_mismatch():
+    proc = run_cli(["ops", "--family", "2", "--degree", "2", "--m", "2",
+                    "--chi", "1,2,3"])
+    assert proc.returncode == 2
+    assert "--chi" in proc.stderr
+
+
+def test_usage_error_v1_nodes_need_degree_1():
+    proc = run_cli(["interp", "--nodes", "v1", "--n", "2"])
+    assert proc.returncode == 2
+    assert "v1" in proc.stderr
+
+
+def test_usage_error_unknown_zero_set():
+    proc = run_cli(["zeros", "--family", "3", "--degree", "2", "--level", "2",
+                    "--which", "legendre,bad"])
+    assert proc.returncode == 2
+    assert "bad" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_consistency_error_exit_code_4(monkeypatch, capsys):
+    def boom(_n):
+        raise ConsistencyError("synthetic disagreement")
+
+    monkeypatch.setattr(cli, "quadrature_weights", boom)
+    assert cli.main(["quad", "--n", "1"]) == 4
+    err = capsys.readouterr().err
+    assert "synthetic disagreement" in err and len(err.strip().split("\n")) == 1
+
+
 def test_math_assumption_exit_code_3(monkeypatch, capsys):
     def boom(**_kwargs):
         raise MathematicalAssumptionError("synthetic violation")
@@ -160,19 +196,6 @@ def test_math_assumption_exit_code_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_all", boom)
     assert cli.main(["verify", "--quick"]) == 3
     assert "mathematical assumption" in capsys.readouterr().err
-
-
-def test_cache_dir_roundtrip(tmp_path):
-    env = dict(os.environ, SGOP_CACHE_DIR=str(tmp_path))
-    proc = run_cli(["coeffs", "--max-j", "8"], env=env)
-    assert proc.returncode == 0
-    cache = tmp_path / "sgortho_coeffs.json"
-    assert cache.exists()
-    payload = json.loads(cache.read_text())
-    assert payload["alpha"]["2"] == "1/180"
-    # second run loads the cache and produces identical output
-    proc2 = run_cli(["coeffs", "--max-j", "8"], env=env)
-    assert proc2.stdout == proc.stdout
 
 
 def test_verify_quick_exit_zero():

@@ -120,20 +120,6 @@ def test_sum_of_normals_vanishes_for_harmonics():
         assert sum(monomial_normal(0, k, v) for v in (0, 1, 2)) == 0
 
 
-def test_cache_roundtrip(tmp_path):
-    table = CoeffTable()
-    table.alpha(9)
-    table.beta(9)
-    table.eta(9)
-    table.save(str(tmp_path))
-    fresh = CoeffTable()
-    assert fresh.load(str(tmp_path))
-    assert fresh.alpha(9) == alpha(9)
-    assert fresh.beta(9) == beta(9)
-    assert fresh.eta(9) == eta(9)
-    assert not CoeffTable().load(str(tmp_path / "missing"))
-
-
 def test_concurrent_readers():
     import threading
 

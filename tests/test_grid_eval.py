@@ -1,4 +1,4 @@
-"""Vertex addressing, level grids, harmonic extension, the exact solver."""
+"""Vertex addressing, level grids, the exact midpoint rule, the collocation solver."""
 
 from fractions import Fraction as F
 
@@ -6,8 +6,10 @@ import pytest
 
 from sgortho.addresses import VertexAddress, mapped, spine_address
 from sgortho.coeffs import TABLE
+from sgortho.errors import ConsistencyError
 from sgortho.grid import (build_grid, cell_words, count_sign_changes,
-                          harmonic_extend, restrict_edge)
+                          harmonic_extend, midpoint_weights,
+                          multiharmonic_extend, restrict_edge, vertex_data)
 from sgortho.poly import Poly
 from sgortho.solver import (dirichlet_solve, eval_poly_grid,
                             residual_check, spine_discrepancy)
@@ -192,3 +194,73 @@ def test_mapped_addresses():
     a = spine_address(1, 1)
     assert mapped((2,), a) == VertexAddress.make((2, 0), 1)
     assert mapped((), a) == a
+
+
+def test_midpoint_weights():
+    assert [midpoint_weights(s) for s in range(4)] == [
+        (F(2, 5), F(1, 5)), (F(-3, 125), F(-7, 375)),
+        (F(77, 56250), F(71, 56250)), (F(-1, 12500), F(-79, 1012500))]
+
+
+def test_midpoint_fit_checks_the_third_family(monkeypatch):
+    import sgortho.grid as grid
+
+    real = Poly.eval_spine
+
+    def skewed(self, depth, target):  # P_{0,1} = 1 gets a wrong spine value
+        return real(self, depth, target) + (1 if (0, 1) in self.coeffs else 0)
+
+    monkeypatch.setattr(grid, "_weights", [])
+    monkeypatch.setattr(Poly, "eval_spine", skewed)
+    with pytest.raises(ConsistencyError):
+        grid.midpoint_weights(0)
+
+
+@pytest.mark.parametrize("j", range(7))
+def test_midpoint_rule_matches_spine_closed_forms(j):
+    # only depth 1 went into the fit; deeper spine points are an independent check
+    for k in (1, 2, 3):
+        mono = Poly.monomial(j, k)
+        data = mono.dirichlet_data()
+        for depth in range(2, 7):
+            for target in (1, 2):
+                addr = spine_address(depth, target)
+                assert vertex_data(data, addr)[0] == mono.eval_spine(depth, target)
+
+
+def test_collocation_converges_to_the_rule_by_five_per_level():
+    addr = VertexAddress.make((1, 0), 2)
+    assert addr.spine_depth() is None
+    for j, k in ((2, 1), (2, 3)):
+        mono = Poly.monomial(j, k)
+        exact = vertex_data(mono.dirichlet_data(), addr)[0]
+        errs = [eval_poly_grid(mono, 2, lvl).value_at(addr) - exact
+                for lvl in (4, 5, 6)]
+        assert errs[0] != 0
+        assert errs[0] == 5 * errs[1] == 25 * errs[2]
+
+
+def test_multiharmonic_extend_agrees_with_vertex_descent():
+    p = Poly({(3, 1): F(2), (2, 2): F(-1), (3, 3): F(1, 2), (0, 1): F(5)})
+    data = p.dirichlet_data()
+    field = multiharmonic_extend(data, 3)
+    for v in field.grid.vertices:
+        assert field.value_at(v) == vertex_data(data, v)[0]
+    # restriction to a coarser grid is the coarser extension
+    assert field.restrict(2).values == multiharmonic_extend(data, 2).values
+
+
+@pytest.mark.xfail(strict=True, reason="the default collocation (solve level "
+                   "level + 2) miscounts edge sign changes of p_5 at level 5; "
+                   "the zeros tables pinned in the benchmark references "
+                   "(perfbench/references.json) are those wrong counts")
+def test_collocated_zero_counts_match_exact_values():
+    from sgortho.families import legendre
+
+    p5 = legendre(3, 5).polys[5]
+    collocated = eval_poly_grid(p5, 5)
+    exact = multiharmonic_extend(p5.dirichlet_data(), 5)
+    for edge in ("bottom", "left", "right"):
+        counts = [count_sign_changes([v for _t, v in restrict_edge(fld, edge)])
+                  for fld in (collocated, exact)]
+        assert counts[0] == counts[1], edge

@@ -4,15 +4,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from sgortho.addresses import spine_address
+from sgortho.addresses import VertexAddress, spine_address
 from sgortho.coeffs import TABLE, gamma
 from sgortho.interp import (NodeSet, composite_quadrature,
-                            degenerate_spine_nodes, interpolation_matrix,
-                            invertibility_check, condition_inf, node_depth,
+                            degenerate_spine_nodes, eval_monomial_at,
+                            interpolation_matrix, condition_inf, node_depth,
                             quadrature_error_study, quadrature_weights,
                             spine_nodes, v1_nodes)
 from sgortho.linalg import bareiss_det, inverse_exact, solve_exact
 from sgortho.poly import Poly
+from sgortho.solver import eval_poly_grid
 
 
 def test_spine_nodes_layout():
@@ -38,15 +39,16 @@ def test_duplicate_nodes_rejected_and_singular():
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_spine_matrix_exact_and_invertible(n):
     matrix = interpolation_matrix(spine_nodes(n))
-    assert matrix.fully_exact
-    chk = invertibility_check(matrix)
-    assert chk["exact"] and chk["det"] != 0 and chk["error_bound"] == 0
+    for addr, row in zip(matrix.node_set.nodes, matrix.entries):
+        assert row == [Poly.monomial(j, k).eval_spine(addr.level, addr.corner)
+                       for j in range(n + 1) for k in (1, 2, 3)]
+    assert bareiss_det(matrix.entries) != 0
 
 
 def test_degenerate_spine_nodes_singular():
     for n in (1, 2):
         matrix = interpolation_matrix(degenerate_spine_nodes(n))
-        assert invertibility_check(matrix)["det"] == 0
+        assert bareiss_det(matrix.entries) == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -69,21 +71,24 @@ def test_family3_block_is_scaled_vandermonde(n):
 
 def test_v1_matrix_exact_value_and_condition():
     matrix = interpolation_matrix(v1_nodes())
-    chk = invertibility_check(matrix)
-    assert matrix.fully_exact  # degree <= 1 values carry no solver error
-    assert abs(chk["det"]) > F(1, 10**8)
+    # degree <= 1 loads are discretely harmonic, so collocation is exact there
+    addr = VertexAddress.make((1,), 2)
+    for col, k in enumerate((1, 2, 3)):
+        field = eval_poly_grid(Poly.monomial(1, k), 1, 1)
+        assert matrix.entries[-1][3 + col] == field.value_at(addr)
+    assert abs(bareiss_det(matrix.entries)) > F(1, 10**8)
     assert condition_inf(matrix) > 1
 
 
-def test_error_bound_machinery_on_inexact_entries():
-    # a degree-2 entry at a non-spine vertex is genuinely approximate
-    from sgortho.interp import eval_monomial_at
-    from sgortho.addresses import VertexAddress
+def test_exact_value_at_non_spine_vertex():
+    # collocation of a degree-2 polynomial errs by exactly C 5^-L at solve
+    # level L, so Richardson extrapolation of two levels is an exact oracle
     addr = VertexAddress.make((1,), 2)
-    value, exact, est = eval_monomial_at(2, 1, addr, {})
-    assert not exact and est > 0
-    finer, _e2, _b2 = eval_monomial_at(2, 1, addr, {}, solve_pad=4)
-    assert abs(value - finer) <= est
+    value = eval_monomial_at(2, 1, addr)
+    assert value == F(1, 2250)
+    coarse, fine = (eval_poly_grid(Poly.monomial(2, 1), 1, lvl).value_at(addr)
+                    for lvl in (4, 5))
+    assert (5 * fine - coarse) / 4 == value
 
 
 def test_quadrature_rule_order0():
@@ -139,6 +144,14 @@ def test_quadrature_error_study_orders():
     ratios1 = [float(r["ratio"]) for r in rows1 if "ratio" in r]
     assert all(12 < r < 40 for r in ratios1)  # second-order rule: near 25
     assert rows1[0]["exact"] == F(1, 1215)
+
+
+def test_quadrature_error_ratios_are_exact():
+    # exact integrand values leave the composite error a pure power of 5
+    rows = quadrature_error_study(1, Poly.monomial(2, 1), 4)
+    assert [r["ratio"] for r in rows if "ratio" in r] == [25, 25, 25]
+    rows = quadrature_error_study(0, Poly.monomial(1, 2), 4)
+    assert [r["ratio"] for r in rows if "ratio" in r] == [F(25, 2)] * 4
 
 
 def test_node_depth_and_callable_integrand():

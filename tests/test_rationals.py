@@ -4,6 +4,8 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
+import pytest
+
 from sgortho.rationals import Rat, rat_decimal, rat_from_str, rat_str
 
 
@@ -13,6 +15,14 @@ def test_parse_and_str():
     assert rat_str(Rat(3, 4)) == "3/4"
     assert rat_str(Rat(-8, 4)) == "-2"
     assert rat_str(Rat(0)) == "0"
+
+
+def test_str_beyond_int_to_str_digit_limit():
+    # the default limit on int-to-str conversion is in force here
+    with pytest.raises(ValueError):
+        str(10**5000)
+    assert rat_str(F(10**5000 + 1, 3)) == "1" + "0" * 4999 + "1/3"
+    assert rat_str(F(-(10**1300), 7)) == "-1" + "0" * 1300 + "/7"
 
 
 def test_decimal_rendering():
