@@ -46,6 +46,17 @@ def _rat_list(text: str):
     return tuple(_rat(part) for part in text.split(","))
 
 
+def _size(text: str) -> int:
+    """A degree, level, order or count: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
+    return value
+
+
 class UsageError(Exception):
     """Flags that parse one by one but do not fit together."""
 
@@ -100,6 +111,15 @@ def _build_family(family: int, params: SobolevParams, degree: int, method: str):
     return sobolev_three_term(family, chi, degree)
 
 
+def _solve_level(args) -> int:
+    if args.solve_level is None:
+        return args.level + 2
+    if args.solve_level < args.level:
+        raise UsageError(f"--solve-level {args.solve_level} is below "
+                         f"--level {args.level}")
+    return args.solve_level
+
+
 def cmd_coeffs(args) -> int:
     rows = []
     for j in range(args.max_j + 1):
@@ -132,6 +152,7 @@ def cmd_ops(args) -> int:
 
 def cmd_eval(args) -> int:
     params = _params_from_args(args)
+    solve_level = _solve_level(args)
     if args.which == "monomial":
         poly = Poly.monomial(args.degree, args.family)
     elif args.which == "legendre":
@@ -139,7 +160,6 @@ def cmd_eval(args) -> int:
     else:
         poly = _build_family(args.family, params, args.degree,
                              "recurrence").polys[args.degree]
-    solve_level = args.solve_level if args.solve_level is not None else args.level + 2
     field = eval_poly_grid(poly, args.level, solve_level)
     rows = list(field.csv_rows(args.digits))
     _write(args.out, _csv(rows, ("address", "x", "y", "value")))
@@ -151,6 +171,7 @@ def cmd_zeros(args) -> int:
     whiches = args.which.split(",")
     if not set(whiches) <= {"legendre", "sobolev"}:
         raise UsageError(f"--which takes legendre and/or sobolev, not {args.which!r}")
+    solve_level = _solve_level(args)
     rows = []
     for which in whiches:
         if which == "legendre":
@@ -158,8 +179,6 @@ def cmd_zeros(args) -> int:
         else:
             poly = _build_family(args.family, params, args.degree,
                                  "recurrence").polys[args.degree]
-        solve_level = (args.solve_level if args.solve_level is not None
-                       else args.level + 2)
         field = eval_poly_grid(poly, args.level, solve_level)
         for edge in ("bottom", "left", "right"):
             vals = [v for _t, v in restrict_edge(field, edge)]
@@ -239,6 +258,9 @@ def cmd_verify(args) -> int:
     return 0 if ok else 3
 
 
+_LEVEL_HELP = "grid level L: (3^(L+1)+3)/2 vertices, so level 12 has 797,163"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sgortho",
@@ -251,20 +273,20 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, digits=True):
         p.add_argument("--out", help="write output to this file instead of stdout")
         if digits:
-            p.add_argument("--digits", type=int, default=12,
+            p.add_argument("--digits", type=_size, default=12,
                            help="decimal digits for rendered values (default 12)")
 
     p = sub.add_parser("coeffs", help="fundamental coefficient sequences as "
                                       "exact rationals")
-    p.add_argument("--max-j", type=int, required=True)
+    p.add_argument("--max-j", type=_size, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     add_common(p, digits=False)
     p.set_defaults(fn=cmd_coeffs)
 
     p = sub.add_parser("gram", help="exact Gram matrix of monomials as JSON")
     p.add_argument("--family", choices=("1", "2", "3", "mixed"), required=True)
-    p.add_argument("--maxdeg", type=int, required=True)
-    p.add_argument("--m", type=int, default=0, help="Sobolev order (default 0 = plain L2)")
+    p.add_argument("--maxdeg", type=_size, required=True)
+    p.add_argument("--m", type=_size, default=0, help="Sobolev order (default 0 = plain L2)")
     p.add_argument("--chi", type=_rat_list,
                    help="comma-separated weights chi_1..chi_m (default all 1)")
     add_common(p, digits=False)
@@ -272,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ops", help="orthogonal polynomial family as JSON")
     p.add_argument("--family", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--m", type=int, default=1, help="Sobolev order (default 1)")
+    p.add_argument("--degree", type=_size, required=True)
+    p.add_argument("--m", type=_size, default=1, help="Sobolev order (default 1)")
     p.add_argument("--chi", type=_rat_list, help="weights chi_1..chi_m (default 1)")
     p.add_argument("--method", choices=("recurrence", "gram-schmidt"),
                    default="recurrence")
@@ -284,26 +306,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a polynomial on a level grid "
                                     "(CSV: address,x,y,value)")
     p.add_argument("--family", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--degree", type=_size, required=True)
+    p.add_argument("--m", type=_size, default=1)
     p.add_argument("--chi", type=_rat_list)
     p.add_argument("--which", choices=("sobolev", "legendre", "monomial"),
                    default="sobolev")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--solve-level", type=int,
-                   help="collocation solve level (default level + 2)")
+    p.add_argument("--level", type=_size, required=True,
+                   help=_LEVEL_HELP)
+    p.add_argument("--solve-level", type=_size,
+                   help="collocation solve level, at least --level "
+                        "(default level + 2)")
     add_common(p)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("zeros", help="edge sign-change counts for Legendre and "
                                      "Sobolev polynomials")
     p.add_argument("--family", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--degree", type=_size, required=True)
+    p.add_argument("--m", type=_size, default=1)
     p.add_argument("--chi", type=_rat_list)
     p.add_argument("--which", default="legendre,sobolev")
-    p.add_argument("--level", type=int, default=7)
-    p.add_argument("--solve-level", type=int)
+    p.add_argument("--level", type=_size, default=7,
+                   help=_LEVEL_HELP + " (default 7)")
+    p.add_argument("--solve-level", type=_size)
     p.add_argument("--threshold", type=_rat, default=Rat(1, 10**30),
                    help="|value| below this counts as an exact zero")
     add_common(p, digits=False)
@@ -313,24 +338,24 @@ def build_parser() -> argparse.ArgumentParser:
                                       "condition report")
     p.add_argument("--nodes", choices=("spine", "v1", "degenerate"),
                    default="spine")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size, required=True)
     p.add_argument("--matrix", action="store_true", help="include the matrix entries")
     add_common(p)
     p.set_defaults(fn=cmd_interp)
 
     p = sub.add_parser("quad", help="quadrature rule export / composite error study")
-    p.add_argument("--n", type=int, required=True, help="rule exactness degree")
-    p.add_argument("--study-degree", type=int,
+    p.add_argument("--n", type=_size, required=True, help="rule exactness degree")
+    p.add_argument("--study-degree", type=_size,
                    help="run the error study for the monomial of this degree")
     p.add_argument("--study-family", type=int, choices=(1, 2, 3), default=1)
-    p.add_argument("--m-max", type=int, default=4)
+    p.add_argument("--m-max", type=_size, default=4)
     add_common(p)
     p.set_defaults(fn=cmd_quad)
 
     p = sub.add_parser("sweep-chi", help="large-weight convergence study of the "
                                          "Sobolev family (exact)")
     p.add_argument("--family", type=int, choices=(2, 3), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size, required=True)
     p.add_argument("--chi-list", type=_rat_list, required=True)
     add_common(p, digits=False)
     p.set_defaults(fn=cmd_sweep_chi)
@@ -339,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "pass/fail table")
     p.add_argument("--quick", action="store_true",
                    help="skip the solver-based checks")
-    p.add_argument("--zero-level", type=int, default=5,
+    p.add_argument("--zero-level", type=_size, default=5,
                    help="grid level for the zero-count report")
     add_common(p, digits=False)
     p.set_defaults(fn=cmd_verify)

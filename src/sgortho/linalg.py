@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from math import gcd
-
-from .rationals import Rat, ZERO
+from .rationals import Rat, ZERO, over_common_denominator
 
 
 def bareiss_det(matrix):
@@ -19,12 +17,9 @@ def bareiss_det(matrix):
     scale_den = 1
     m: list[list[int]] = []
     for row in matrix:
-        den = 1
-        for x in row:
-            d = x.denominator
-            den = den * d // gcd(den, d)
+        den, ints = over_common_denominator(row)
         scale_den *= den
-        m.append([int(x.numerator * (den // x.denominator)) for x in row])
+        m.append(ints)
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -10,6 +10,7 @@ identically, so the choice never changes any result.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 try:
     from gmpy2 import mpq as _mpq
@@ -33,6 +34,14 @@ ONE = Rat(1)
 def rat_from_str(text: str):
     """Parse 'p', '-p/q' or a plain integer literal into an exact rational."""
     return Rat(text.strip())
+
+
+def over_common_denominator(values) -> tuple[int, list[int]]:
+    """(den, ints) with den the lcm of the denominators of `values` and
+    ints[i] = values[i] * den, so values[i] == Rat(ints[i], den)."""
+    values = list(values)
+    den = lcm(*(int(x.denominator) for x in values))
+    return den, [int(x.numerator) * (den // int(x.denominator)) for x in values]
 
 
 # Digits per chunk in _int_str: below CPython's smallest allowed limit on

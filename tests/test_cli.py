@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from sgortho import cli
 from sgortho.errors import ConsistencyError, MathematicalAssumptionError
 from sgortho.rationals import Rat
@@ -177,6 +179,43 @@ def test_usage_error_unknown_zero_set():
     assert proc.returncode == 2
     assert "bad" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    # each of these used to escape as a ValueError traceback (exit 1)
+    ["ops", "--family", "2", "--degree", "-1"],
+    ["eval", "--family", "2", "--degree", "2", "--level", "-1"],
+    ["gram", "--family", "1", "--maxdeg", "-2"],
+    ["interp", "--n", "-1"],
+    ["quad", "--n", "-1"],
+    ["zeros", "--family", "3", "--degree", "-1", "--level", "2"],
+    # ... and each of these used to exit 0 with empty or partial output
+    ["coeffs", "--max-j", "-1"],
+    ["quad", "--n", "1", "--study-degree", "2", "--m-max", "-1"],
+    ["sweep-chi", "--family", "2", "--n", "-1", "--chi-list", "1,2"],
+])
+def test_negative_size_is_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be >= 0" in captured.err
+
+
+def test_usage_error_solve_level_below_level(capsys):
+    # used to escape as a ValueError traceback (exit 1)
+    for cmd in ("eval", "zeros"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([cmd, "--family", "2", "--degree", "1", "--level", "3",
+                      "--solve-level", "1"])
+        assert exc.value.code == 2
+        assert "--solve-level 1 is below --level 3" in capsys.readouterr().err
+
+
+def test_sobolev_order_zero_is_valid(capsys):
+    assert cli.main(["ops", "--family", "2", "--m", "0", "--degree", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "legendre"
 
 
 def test_consistency_error_exit_code_4(monkeypatch, capsys):

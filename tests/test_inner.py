@@ -5,11 +5,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from sgortho.families import sobolev_three_term
 from sgortho.inner import (SobolevParams, energy_inner, extended_inner,
                            gram_matrix, mono_inner, mono_inner_l2,
                            poly_inner)
 from sgortho.linalg import bareiss_det
 from sgortho.poly import Poly
+from sgortho.rationals import ZERO
 
 L2 = SobolevParams.l2()
 S1 = SobolevParams.order1(1)
@@ -76,6 +78,74 @@ def test_multi_base_point_relation():
         mono_inner(S1, (0, 1), (0, 3), base_a=1)
     with pytest.raises(ValueError):
         poly_inner(S1, Poly({(0, 1): F(1)}, base_point=1), Poly.monomial(0, 1))
+
+
+def _per_term_inner(params, f, g):
+    """Oracle: the naive sum of cf * cg * mono_inner over all term pairs."""
+    total = F(0)
+    for a, cf in f.coeffs.items():
+        for b, cg in g.coeffs.items():
+            total += cf * cg * mono_inner(params, a, b, f.base_point, g.base_point)
+    return total
+
+
+def _random_poly(rng, families, base_point=0):
+    coeffs = {(rng.randint(0, 6), rng.choice(families)):
+              F(rng.randint(-60, 60), rng.randint(1, 45))
+              for _ in range(rng.randint(1, 6))}
+    return Poly(coeffs, base_point)
+
+
+ORACLE_PARAMS = {
+    "l2": L2,
+    "order1": SobolevParams.order1(F(3, 7)),
+    "order2": SobolevParams.of_weights([1, F(2, 3), F(1, 9)]),
+    "order2-chi1-zero": SobolevParams.of_weights([1, 0, F(5, 2)]),
+}
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS.values(), ids=ORACLE_PARAMS)
+def test_poly_inner_matches_per_term_sum(params):
+    rng = random.Random(17)
+    family_sets = ((1,), (2,), (3,), (1, 2), (1, 3), (1, 2, 3))
+    for _ in range(30):
+        f = _random_poly(rng, rng.choice(family_sets))
+        g = _random_poly(rng, rng.choice(family_sets))
+        got = poly_inner(params, f, g)
+        assert type(got) is type(ZERO)
+        assert got == _per_term_inner(params, f, g)
+    for base_f, base_g in ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (2, 0)):
+        for _ in range(5):
+            f = _random_poly(rng, (3,), base_f)
+            g = _random_poly(rng, (3,), base_g)
+            got = poly_inner(params, f, g)
+            assert type(got) is type(ZERO)
+            assert got == _per_term_inner(params, f, g)
+    mixed_off_q0 = _random_poly(rng, (1, 2, 3), base_point=1)
+    for zero in (Poly.zero(), Poly.zero(base_point=2)):
+        for other in (_random_poly(rng, (1, 2, 3)), mixed_off_q0, zero):
+            for got in (poly_inner(params, zero, other),
+                        poly_inner(params, other, zero)):
+                assert type(got) is type(ZERO) and got == 0
+
+
+def test_poly_inner_matches_per_term_sum_on_family_members():
+    # the large-bit inputs the family builders actually pass
+    params = ORACLE_PARAMS["order1"]
+    polys = sobolev_three_term(2, F(3, 7), 9).polys
+    for i in (0, 4, 8, 9):
+        for j in (3, 9):
+            assert poly_inner(params, polys[i], polys[j]) == \
+                _per_term_inner(params, polys[i], polys[j])
+
+
+def test_poly_inner_rejects_off_q0_base_point_outside_k3():
+    mixed = Poly({(1, 1): F(1, 3), (2, 3): F(2)}, base_point=1)
+    k3 = Poly({(0, 3): F(5, 4)}, base_point=1)
+    for f, g in ((mixed, k3), (k3, mixed),
+                 (Poly({(0, 2): F(1)}), Poly({(1, 3): F(1)}, base_point=2))):
+        with pytest.raises(ValueError):
+            poly_inner(S1, f, g)
 
 
 def test_positive_definiteness_of_poly_inner():
