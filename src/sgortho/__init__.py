@@ -28,7 +28,7 @@ from .interp import (InterpolationMatrix, NodeSet, QuadratureRule,
 from .odes import chi_asymptotics, higher_ode_residual, ode_residual
 from .poly import Poly
 from .rationals import Rat, rat_decimal, rat_from_str, rat_str
-from .solver import dirichlet_solve, eval_poly_grid, eval_spine_exact
+from .solver import dirichlet_solve, eval_poly_grid
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ from .linalg import bareiss_det
 from .odes import chi_asymptotics, higher_ode_residual, ode_residual
 from .poly import Poly
 from .rationals import Rat, ZERO, rat_str
-from .solver import eval_poly_grid, eval_spine_exact
+from .solver import eval_poly_grid
 from .addresses import spine_address
 
 L2 = SobolevParams.l2()
@@ -132,7 +132,7 @@ def check_coefficient_identities(nmax: int = 8) -> CheckResult:
     for fam in (2, 3):
         sob = sobolev_three_term(fam, 1, nmax + 1)
         leg = legendre(fam, nmax + 1)
-        fs = green_seq(fam, nmax + 1, leg)
+        fs = green_seq(fam, nmax + 1)
         for n in range(1, nmax + 1):
             bt = sob.recurrence["b_tilde"][n]
             if bt != leg.norms_sq[n] / sob.norms_sq[n - 1] or bt <= 0:
@@ -297,7 +297,7 @@ def check_evaluation_convergence() -> CheckResult:
             err = ZERO
             for depth in range(5):
                 for target in (1, 2):
-                    exact = eval_spine_exact(mono, depth, target)
+                    exact = mono.eval_spine(depth, target)
                     approx = fld.value_at(spine_address(depth, target))
                     err = max(err, abs(approx - exact))
                     ref_max = max(ref_max, abs(exact))

@@ -42,8 +42,12 @@ def _rat(text: str):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _rat_list(text: str):
-    return tuple(_rat(part) for part in text.split(","))
+def _weights(text: str):
+    """Comma-separated Sobolev weights: non-negative rationals."""
+    values = tuple(_rat(part) for part in text.split(","))
+    if any(v < 0 for v in values):
+        raise argparse.ArgumentTypeError(f"weights must be >= 0, not {text!r}")
+    return values
 
 
 def _size(text: str) -> int:
@@ -101,11 +105,14 @@ def _build_family(family: int, params: SobolevParams, degree: int, method: str):
         if family == 1:
             # no recurrence fast path exists here; Gram-Schmidt is the answer
             return gram_schmidt(params, family, degree)
+        if params.chi[-1] == 0:
+            raise UsageError(f"--chi: the order-{params.order} recurrence needs "
+                             f"chi_{params.order} > 0 (ops --method gram-schmidt "
+                             f"accepts chi_{params.order} = 0)")
         return sobolev_higher(params, family, degree)
     chi = params.chi[1] if params.order == 1 else None
     if chi is None:
-        leg = legendre(family, degree)
-        return leg
+        return legendre(family, degree)
     if family == 1:
         return sobolev_four_term(chi, degree)
     return sobolev_three_term(family, chi, degree)
@@ -287,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("1", "2", "3", "mixed"), required=True)
     p.add_argument("--maxdeg", type=_size, required=True)
     p.add_argument("--m", type=_size, default=0, help="Sobolev order (default 0 = plain L2)")
-    p.add_argument("--chi", type=_rat_list,
+    p.add_argument("--chi", type=_weights,
                    help="comma-separated weights chi_1..chi_m (default all 1)")
     add_common(p, digits=False)
     p.set_defaults(fn=cmd_gram)
@@ -296,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--degree", type=_size, required=True)
     p.add_argument("--m", type=_size, default=1, help="Sobolev order (default 1)")
-    p.add_argument("--chi", type=_rat_list, help="weights chi_1..chi_m (default 1)")
+    p.add_argument("--chi", type=_weights, help="weights chi_1..chi_m (default 1)")
     p.add_argument("--method", choices=("recurrence", "gram-schmidt"),
                    default="recurrence")
     p.add_argument("--format", choices=("json",), default="json")
@@ -308,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--degree", type=_size, required=True)
     p.add_argument("--m", type=_size, default=1)
-    p.add_argument("--chi", type=_rat_list)
+    p.add_argument("--chi", type=_weights)
     p.add_argument("--which", choices=("sobolev", "legendre", "monomial"),
                    default="sobolev")
     p.add_argument("--level", type=_size, required=True,
@@ -324,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--degree", type=_size, required=True)
     p.add_argument("--m", type=_size, default=1)
-    p.add_argument("--chi", type=_rat_list)
+    p.add_argument("--chi", type=_weights)
     p.add_argument("--which", default="legendre,sobolev")
     p.add_argument("--level", type=_size, default=7,
                    help=_LEVEL_HELP + " (default 7)")
@@ -356,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                                          "Sobolev family (exact)")
     p.add_argument("--family", type=int, choices=(2, 3), required=True)
     p.add_argument("--n", type=_size, required=True)
-    p.add_argument("--chi-list", type=_rat_list, required=True)
+    p.add_argument("--chi-list", type=_weights, required=True)
     add_common(p, digits=False)
     p.set_defaults(fn=cmd_sweep_chi)
 

@@ -25,6 +25,15 @@ Builders:
   * limit_family_sym         -- the chi-independent large-chi limits of the
                                 k = 1 Sobolev family
 
+Every builder takes one step per degree through `_orthogonalize`: project a
+candidate (a monomial, a Green image) onto a window of earlier members,
+subtract, and keep the coefficients as the recurrence table.
+
+Gram-Schmidt families (Legendre among them) and Green images are memoized
+per (params, family) and per family, extended on demand under one lock; each
+f_t is checked against its closed form once, when first built.  Every call
+returns fresh lists, so callers may modify results freely.
+
 The k=1 four-term path divides by the corner normal derivative of f_{t}; that
 quantity vanishing would break the construction, so it is asserted at every
 step and a violation raises MathematicalAssumptionError.
@@ -32,6 +41,7 @@ step and a violation raises MathematicalAssumptionError.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 from .coeffs import TABLE
@@ -57,7 +67,7 @@ class OPFamily:
     polys[n] is the unique monic degree-n polynomial of the family orthogonal
     to all lower degrees under `params`; norms_sq[n] is its exact squared norm.
     Recurrence-built families carry their coefficient tables in `recurrence`.
-    Immutable after construction; safe to share between threads.
+    Every builder call returns a new instance with its own lists.
     """
 
     family: int
@@ -66,10 +76,6 @@ class OPFamily:
     norms_sq: list
     method: str = "gram-schmidt"
     recurrence: dict = field(default_factory=dict)
-
-    @property
-    def maxdeg(self) -> int:
-        return len(self.polys) - 1
 
     def check_orthogonal(self) -> bool:
         """Exact pairwise orthogonality of the stored polynomials."""
@@ -99,24 +105,38 @@ class OPFamily:
         }
 
 
+def _orthogonalize(params: SobolevParams, f: Poly, polys: list[Poly],
+                   norms: list, window) -> tuple[Poly, list]:
+    """f minus its projections onto polys[i] for i in window, and the
+    projection coefficients <f, polys[i]> / norms[i] in window order."""
+    coefs = [sob_inner(params, f, polys[i]) / norms[i] for i in window]
+    out = f
+    for i, c in zip(window, coefs):
+        out = out - polys[i].scale(c)
+    return out, coefs
+
+
+_lock = threading.RLock()  # extension appends by index; builders nest
+_gram_schmidt: dict[tuple[SobolevParams, int], tuple[list[Poly], list]] = {}
+_green: dict[int, list[Poly]] = {}
+
+
 def gram_schmidt(params: SobolevParams, family: int, maxdeg: int) -> OPFamily:
     """Monic orthogonal family by Gram-Schmidt over the monomials (normative)."""
     if maxdeg < 0:
         raise ValueError("maxdeg must be >= 0")
-    polys: list[Poly] = []
-    norms: list = []
-    for n in range(maxdeg + 1):
-        v = Poly.monomial(n, family)
-        for i in range(n):
-            coef = sob_inner(params, v, polys[i]) / norms[i]
-            if coef != 0:
-                v = v - polys[i].scale(coef)
-        nv = sob_inner(params, v, v)
-        if nv <= 0:
-            raise ConsistencyError(f"Gram-Schmidt norm not positive at degree {n}")
-        polys.append(v)
-        norms.append(nv)
-    return OPFamily(family=family, params=params, polys=polys, norms_sq=norms)
+    with _lock:
+        polys, norms = _gram_schmidt.setdefault((params, family), ([], []))
+        for n in range(len(polys), maxdeg + 1):
+            v, _ = _orthogonalize(params, Poly.monomial(n, family), polys, norms,
+                                  range(n))
+            nv = sob_inner(params, v, v)
+            if nv <= 0:
+                raise ConsistencyError(f"Gram-Schmidt norm not positive at degree {n}")
+            polys.append(v)
+            norms.append(nv)
+        return OPFamily(family=family, params=params, polys=polys[:maxdeg + 1],
+                        norms_sq=norms[:maxdeg + 1])
 
 
 def legendre(family: int, maxdeg: int) -> OPFamily:
@@ -139,52 +159,42 @@ def _zeta(family: int, leg_poly: Poly):
     return total
 
 
-def green_seq(family: int, count: int, leg: OPFamily | None = None) -> list[Poly]:
+def green_seq(family: int, count: int) -> list[Poly]:
     """[f_0, ..., f_count] with f_0 = 0 and f_t the Green image of p_{t-1}.
 
     Each f_t is computed twice: by applying the Green operator and via the
     closed-form expansion (degree shift of the Legendre coefficients plus the
     harmonic correction).  Any mismatch is a fatal consistency error.
     """
-    if leg is None or leg.maxdeg < count - 1:
-        leg = legendre(family, max(count - 1, 0))
-    out = [Poly.zero()]
     corr_index = (0, 3) if family == 3 else (0, 2)
-    for t in range(1, count + 1):
-        p = leg.polys[t - 1]
-        direct = p.green()
-        shifted = {(l + 1, k): w for (l, k), w in p.coeffs.items()}
-        z = _zeta(family, p)
-        if z != 0:
-            shifted[corr_index] = shifted.get(corr_index, ZERO) + z
-        closed = Poly(shifted)
-        if direct != closed:
-            raise ConsistencyError(f"Green image of degree {t - 1} disagrees "
-                                   "with its closed-form expansion")
-        out.append(direct)
-    return out
+    with _lock:
+        out = _green.setdefault(family, [Poly.zero()])
+        leg = legendre(family, max(count - 1, 0))
+        for t in range(len(out), count + 1):
+            p = leg.polys[t - 1]
+            direct = p.green()
+            shifted = {(l + 1, k): w for (l, k), w in p.coeffs.items()}
+            z = _zeta(family, p)
+            if z != 0:
+                shifted[corr_index] = shifted.get(corr_index, ZERO) + z
+            if direct != Poly(shifted):
+                raise ConsistencyError(f"Green image of degree {t - 1} disagrees "
+                                       "with its closed-form expansion")
+            out.append(direct)
+        return out[:count + 1]
 
 
-def legendre_recurrence_coeffs(family: int, n: int,
-                               leg: OPFamily | None = None,
-                               fs: list[Poly] | None = None):
+def legendre_recurrence_coeffs(family: int, n: int):
     """(b_n, c_n) with f_{n+1} = p_{n+1} + b_n p_n + c_n p_{n-1}, recovered by
     exact L2 projection; a nonzero residual is fatal."""
-    if leg is None or leg.maxdeg < n + 1:
-        leg = legendre(family, n + 1)
-    if fs is None or len(fs) < n + 2:
-        fs = green_seq(family, n + 1, leg)
-    f = fs[n + 1]
-    b = poly_inner(L2, f, leg.polys[n]) / leg.norms_sq[n]
-    c = (poly_inner(L2, f, leg.polys[n - 1]) / leg.norms_sq[n - 1]
-         if n >= 1 else ZERO)
-    residual = f - leg.polys[n + 1] - leg.polys[n].scale(b)
-    if n >= 1:
-        residual = residual - leg.polys[n - 1].scale(c)
-    if not residual.is_zero():
+    leg = legendre(family, n + 1)
+    f = green_seq(family, n + 1)[n + 1]
+    residual, coefs = _orthogonalize(L2, f, leg.polys, leg.norms_sq,
+                                     (n, n - 1) if n >= 1 else (0,))
+    if not (residual - leg.polys[n + 1]).is_zero():
         raise ConsistencyError(f"three-term Legendre expansion of f_{n + 1} "
                                "has a nonzero residual")
-    return b, c
+    return coefs[0], (coefs[1] if n >= 1 else ZERO)
 
 
 def sobolev_three_term(family: int, chi, maxdeg: int) -> OPFamily:
@@ -193,24 +203,22 @@ def sobolev_three_term(family: int, chi, maxdeg: int) -> OPFamily:
         raise ValueError("three-term recurrence applies to families 2 and 3")
     params = SobolevParams.order1(chi)
     base = gram_schmidt(params, family, min(1, maxdeg))
-    polys, norms = list(base.polys), list(base.norms_sq)
+    polys, norms = base.polys, base.norms_sq
     fs = green_seq(family, maxdeg)
     a: dict[int, object] = {}
     b_tilde: dict[int, object] = {}
     if maxdeg >= 1:
-        a[0] = poly_inner(params, fs[1], polys[0]) / norms[0]
+        _, (a[0],) = _orthogonalize(params, fs[1], polys, norms, (0,))
     for n in range(1, maxdeg):
-        f = fs[n + 1]
-        a[n] = poly_inner(params, f, polys[n]) / norms[n]
-        b_tilde[n] = poly_inner(params, f, polys[n - 1]) / norms[n - 1]
-        s_next = f - polys[n].scale(a[n]) - polys[n - 1].scale(b_tilde[n])
+        s_next, (a[n], b_tilde[n]) = _orthogonalize(params, fs[n + 1], polys,
+                                                    norms, (n, n - 1))
         polys.append(s_next)
-        norms.append(poly_inner(params, s_next, s_next))
+        norms.append(sob_inner(params, s_next, s_next))
     return OPFamily(family=family, params=params, polys=polys, norms_sq=norms,
                     method="three-term", recurrence={"a": a, "b_tilde": b_tilde})
 
 
-def corner_normal_of_green_image(t: int, leg: OPFamily):
+def corner_normal_of_green_image(t: int):
     """Normal derivative of f_t at q0 via the projection formula 2 <p_{t-1}, P_{0,2}>_2.
 
     Valid for t >= 2 (for t = 1 the mean of p_0 does not vanish and the
@@ -218,7 +226,7 @@ def corner_normal_of_green_image(t: int, leg: OPFamily):
     """
     if t < 2:
         raise ValueError("projection formula for the corner normal needs t >= 2")
-    p = leg.polys[t - 1]
+    p = legendre(1, t - 1).polys[t - 1]
     return 2 * sum((w * mono_inner_l2((l, 1), (0, 2))
                     for (l, _k), w in p.coeffs.items()), ZERO)
 
@@ -232,12 +240,12 @@ def sobolev_four_term(chi, maxdeg: int) -> OPFamily:
     """
     params = SobolevParams.order1(chi)
     base = gram_schmidt(params, 1, min(2, maxdeg))
-    polys, norms = list(base.polys), list(base.norms_sq)
+    polys, norms = base.polys, base.norms_sq
     if maxdeg <= 2:
         return OPFamily(family=1, params=params, polys=polys, norms_sq=norms,
                         method="four-term")
     leg = legendre(1, maxdeg - 1)
-    fs = green_seq(1, maxdeg, leg)
+    fs = green_seq(1, maxdeg)
     a: dict[int, object] = {}
     b: dict[int, object] = {}
     c: dict[int, object] = {}
@@ -245,8 +253,8 @@ def sobolev_four_term(chi, maxdeg: int) -> OPFamily:
     for n in range(maxdeg - 2):
         dn_hi = fs[n + 3].normal_derivative(0)
         dn_lo = fs[n + 2].normal_derivative(0)
-        if dn_hi != corner_normal_of_green_image(n + 3, leg) or \
-           dn_lo != corner_normal_of_green_image(n + 2, leg):
+        if dn_hi != corner_normal_of_green_image(n + 3) or \
+           dn_lo != corner_normal_of_green_image(n + 2):
             raise ConsistencyError("corner normal of a Green image disagrees "
                                    "with its projection formula")
         if dn_lo == 0:
@@ -260,25 +268,23 @@ def sobolev_four_term(chi, maxdeg: int) -> OPFamily:
         # rhs has zero corner normals, so integrating by parts against the monic
         # antiderivative of s_n gives <rhs, s_n>_S = +d_n |p_{n+1}|^2 exactly.
         c[n] = d[n] * leg.norms_sq[n + 1] / norms[n]
-        a[n] = poly_inner(params, rhs, polys[n + 2]) / norms[n + 2]
-        b[n] = poly_inner(params, rhs, polys[n + 1]) / norms[n + 1]
-        s_next = (rhs - polys[n + 2].scale(a[n]) - polys[n + 1].scale(b[n])
-                  - polys[n].scale(c[n]))
+        s_next, (a[n], b[n]) = _orthogonalize(params, rhs, polys, norms,
+                                              (n + 2, n + 1))
+        s_next = s_next - polys[n].scale(c[n])
         polys.append(s_next)
-        norms.append(poly_inner(params, s_next, s_next))
+        norms.append(sob_inner(params, s_next, s_next))
     return OPFamily(family=1, params=params, polys=polys, norms_sq=norms,
                     method="four-term",
                     recurrence={"a": a, "b": b, "c": c, "d": d})
 
 
-def green_seq_sym_infamily(count: int, leg: OPFamily | None = None) -> list[Poly]:
+def green_seq_sym_infamily(count: int) -> list[Poly]:
     """Modified Green images for k = 1 that stay inside the symmetric family.
 
     The out-of-family harmonic correction of f_t is replaced by a constant
     multiple of P_{0,1} with coefficient -sum_l w_l alpha_{l+1}.
     """
-    if leg is None or leg.maxdeg < count - 1:
-        leg = legendre(1, max(count - 1, 0))
+    leg = legendre(1, max(count - 1, 0))
     out = [Poly.zero()]
     for t in range(1, count + 1):
         p = leg.polys[t - 1]
@@ -299,17 +305,15 @@ def sobolev_three_term_sym(chi, maxdeg: int) -> tuple[OPFamily, bool]:
     """
     params = SobolevParams.order1(chi)
     base = gram_schmidt(params, 1, min(1, maxdeg))
-    polys, norms = list(base.polys), list(base.norms_sq)
+    polys, norms = base.polys, base.norms_sq
     fts = green_seq_sym_infamily(maxdeg)
     a: dict[int, object] = {}
     b: dict[int, object] = {}
     for n in range(1, maxdeg):
-        f = fts[n + 1]
-        a[n] = poly_inner(params, f, polys[n]) / norms[n]
-        b[n] = poly_inner(params, f, polys[n - 1]) / norms[n - 1]
-        s_next = f - polys[n].scale(a[n]) - polys[n - 1].scale(b[n])
+        s_next, (a[n], b[n]) = _orthogonalize(params, fts[n + 1], polys, norms,
+                                              (n, n - 1))
         polys.append(s_next)
-        norms.append(poly_inner(params, s_next, s_next))
+        norms.append(sob_inner(params, s_next, s_next))
     fam = OPFamily(family=1, params=params, polys=polys, norms_sq=norms,
                    method="three-term-sym", recurrence={"a": a, "b": b})
     reference = gram_schmidt(params, 1, maxdeg)
@@ -329,23 +333,19 @@ def sobolev_higher(params: SobolevParams, family: int, maxdeg: int) -> OPFamily:
     if params.chi[m] <= 0:
         raise ValueError("top Sobolev weight must be positive")
     base = gram_schmidt(params, family, min(m, maxdeg))
-    polys, norms = list(base.polys), list(base.norms_sq)
+    polys, norms = base.polys, base.norms_sq
     if maxdeg <= m:
         return OPFamily(family=family, params=params, polys=polys,
                         norms_sq=norms, method="higher-recurrence")
     leg = legendre(family, maxdeg - m)
     a: dict[tuple[int, int], object] = {}
     for n in range(maxdeg - m):
-        big_f = leg.polys[n + 1].green_power(m)
-        s_next = big_f
-        for l in range(2 * m):
-            idx = n + m - l
-            if idx < 0:
-                continue
-            a[(n, l)] = poly_inner(params, big_f, polys[idx]) / norms[idx]
-            s_next = s_next - polys[idx].scale(a[(n, l)])
+        ls = range(min(2 * m, n + m + 1))
+        s_next, coefs = _orthogonalize(params, leg.polys[n + 1].green_power(m),
+                                       polys, norms, [n + m - l for l in ls])
+        a.update(zip(((n, l) for l in ls), coefs))
         polys.append(s_next)
-        norms.append(poly_inner(params, s_next, s_next))
+        norms.append(sob_inner(params, s_next, s_next))
     return OPFamily(family=family, params=params, polys=polys, norms_sq=norms,
                     method="higher-recurrence", recurrence={"a": a})
 
@@ -369,15 +369,15 @@ def associated_family(chi, family: int, maxdeg: int) -> OPFamily:
     u: dict[int, object] = {}
     if maxdeg >= 1:
         polys.append(fs[1])
-        norms.append(poly_inner(params, fs[1], fs[1]))
+        norms.append(sob_inner(params, fs[1], fs[1]))
     for n in range(2, maxdeg + 1):
-        t[n] = -poly_inner(params, fs[n], polys[n - 1]) / norms[n - 1]
-        v = fs[n] + polys[n - 1].scale(t[n])
+        v, coefs = _orthogonalize(params, fs[n], polys, norms,
+                                  (n - 1, n - 2) if n >= 3 else (n - 1,))
+        t[n] = -coefs[0]
         if n >= 3:
-            u[n] = -poly_inner(params, fs[n], polys[n - 2]) / norms[n - 2]
-            v = v + polys[n - 2].scale(u[n])
+            u[n] = -coefs[1]
         polys.append(v)
-        norms.append(poly_inner(params, v, v))
+        norms.append(sob_inner(params, v, v))
     for i in range(1, maxdeg + 1):
         for j in range(1, i):
             if poly_inner(params, polys[i], polys[j]) != 0:
@@ -395,7 +395,7 @@ def limit_family_sym(maxdeg: int) -> list[Poly]:
     g_{n+3} = f_{n+3} + d_n (f_{n+2} - g_{n+2}).
     """
     leg = legendre(1, max(maxdeg - 1, 1))
-    fs = green_seq(1, maxdeg, leg)
+    fs = green_seq(1, maxdeg)
     gs = [leg.polys[0]]
     if maxdeg >= 1:
         gs.append(leg.polys[1])
@@ -412,9 +412,9 @@ def limit_family_sym(maxdeg: int) -> list[Poly]:
         n = deg - 3
         if deg in (2, 3):
             dd = d_coef(n)  # n = -1 or 0; f_1 onward exist
-            comb = fs[deg] + fs[deg - 1].scale(dd)
-            mean = poly_inner(L2, comb, gs[0]) / poly_inner(L2, gs[0], gs[0])
-            g = comb - gs[0].scale(mean) - gs[deg - 1].scale(dd)
+            comb, _ = _orthogonalize(L2, fs[deg] + fs[deg - 1].scale(dd),
+                                     leg.polys, leg.norms_sq, (0,))
+            g = comb - gs[deg - 1].scale(dd)
         else:
             dd = d_coef(n)
             g = fs[deg] + (fs[deg - 1] - gs[deg - 1]).scale(dd)

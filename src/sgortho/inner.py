@@ -110,6 +110,13 @@ class SobolevParams:
     boundary_matrices: tuple | None = None
 
     def __post_init__(self):
+        # tuples all the way down, so that params can key the family memo
+        object.__setattr__(self, "chi", tuple(self.chi))
+        if self.energy_weights is not None:
+            object.__setattr__(self, "energy_weights", tuple(self.energy_weights))
+        if self.boundary_matrices is not None:
+            object.__setattr__(self, "boundary_matrices", tuple(
+                tuple(tuple(row) for row in m) for m in self.boundary_matrices))
         if self.order < 0:
             raise ValueError("order must be >= 0")
         if len(self.chi) != self.order + 1:

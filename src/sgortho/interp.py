@@ -183,7 +183,10 @@ def quadrature_error_study(n: int, f: Poly, m_max: int):
     """Exact-error table of the composite rule against the exact integral.
 
     Returns rows {m, estimate, exact, abs_error, ratio} with the ratio of the
-    previous level's error to the current one (expected near 5^(n+1)).
+    previous level's error to the current one.  For n <= 2 it is exactly
+    5^(n+1) for P_{n+1,1} (n >= 1; at n = 0 that error is 0 at every level)
+    and exactly 5^(n+2)/2 for P_{n+1,3}; at n = 0 it is 25/2 for P_{1,2} as
+    well, while P_{n+1,2} with n >= 1 has no constant ratio.
     """
     rule = quadrature_weights(n)
     exact = f.integral()

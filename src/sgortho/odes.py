@@ -76,9 +76,9 @@ def chi_limit_poly(family: int, n: int) -> tuple[Poly, str]:
         raise ValueError("chi asymptotics cover families 2 and 3")
     leg = legendre(family, max(n, 1))
     if n >= 3:
-        return green_seq(family, n, leg)[n], f"f_{n}"
+        return green_seq(family, n)[n], f"f_{n}"
     if n == 2:
-        f2 = green_seq(family, 2, leg)[2]
+        f2 = green_seq(family, 2)[2]
         c = leg.norms_sq[1] / leg.norms_sq[0]
         return f2 - leg.polys[0].scale(c), "f_2 - (|p_1|^2/|p_0|^2) p_0"
     return leg.polys[n], f"p_{n}"

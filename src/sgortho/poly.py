@@ -24,7 +24,7 @@ class Poly:
 
     __slots__ = ("coeffs", "base_point")
 
-    def __init__(self, coeffs=None, base_point: int = 0):
+    def __init__(self, coeffs: dict | None = None, base_point: int = 0):
         clean: dict[Index, object] = {}
         if coeffs:
             for (j, k), c in coeffs.items():

@@ -146,11 +146,6 @@ def eval_poly_grid(f: Poly, m: int, solve_level: int | None = None) -> FieldOnGr
     return field.restrict(m) if m < solve_level else field
 
 
-def eval_spine_exact(f: Poly, depth: int, target: int):
-    """Exact value of f at the spine vertex F_0^depth(q_target)."""
-    return f.eval_spine(depth, target)
-
-
 def spine_discrepancy(f: Poly, max_depth: int, solve_level: int):
     """Max |grid value - exact| over spine vertices of depth <= max_depth."""
     field = eval_poly_grid(f, max_depth, solve_level)

@@ -193,6 +193,10 @@ def test_usage_error_unknown_zero_set():
     ["coeffs", "--max-j", "-1"],
     ["quad", "--n", "1", "--study-degree", "2", "--m-max", "-1"],
     ["sweep-chi", "--family", "2", "--n", "-1", "--chi-list", "1,2"],
+    # negative weights used to escape as a ValueError traceback (exit 1)
+    ["ops", "--family", "2", "--chi", "-1", "--degree", "3"],
+    ["gram", "--family", "1", "--maxdeg", "2", "--m", "1", "--chi", "-2"],
+    ["sweep-chi", "--family", "3", "--n", "3", "--chi-list", "-1"],
 ])
 def test_negative_size_is_usage_error(args, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -201,6 +205,30 @@ def test_negative_size_is_usage_error(args, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize("args", [
+    # a zero top weight used to escape as a ValueError traceback (exit 1)
+    ["ops", "--family", "2", "--m", "2", "--chi", "1,0", "--degree", "4"],
+    ["ops", "--family", "3", "--m", "2", "--chi", "0", "--degree", "4"],
+    ["eval", "--family", "2", "--m", "2", "--chi", "1,0", "--degree", "4",
+     "--level", "1"],
+])
+def test_zero_top_weight_on_recurrence_is_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--method gram-schmidt" in captured.err
+
+
+def test_zero_top_weight_with_gram_schmidt(capsys):
+    assert cli.main(["ops", "--family", "2", "--m", "2", "--chi", "1,0",
+                     "--degree", "4", "--method", "gram-schmidt"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["params"]["chi"] == ["1", "1", "0"]
+    assert len(payload["polys"]) == 5
 
 
 def test_usage_error_solve_level_below_level(capsys):

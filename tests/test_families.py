@@ -51,7 +51,7 @@ def test_green_seq_examples_and_consistency():
     assert fs2[0].is_zero()
     assert fs2[1] == Poly({(1, 2): F(1), (0, 2): 2 * beta(1)})
     leg2 = legendre(2, 5)
-    fs2 = green_seq(2, 6, leg2)
+    fs2 = green_seq(2, 6)
     for t in range(2, 7):
         assert fs2[t].normal_derivative(1) == 0
         assert fs2[t].normal_derivative(2) == 0
@@ -64,7 +64,7 @@ def test_green_seq_examples_and_consistency():
 def test_green_images_are_monic_and_orthogonal_to_low_degrees():
     for fam in (1, 2, 3):
         leg = legendre(fam, 6)
-        fs = green_seq(fam, 6, leg)
+        fs = green_seq(fam, 6)
         for n in range(1, 6):
             assert fs[n + 1].degree == n + 1
             assert fs[n + 1].is_monic(fam)
@@ -106,9 +106,9 @@ def test_three_term_coefficient_identities():
 def test_legendre_recurrence_coeffs():
     for fam in (2, 3):
         leg = legendre(fam, 9)
-        fs = green_seq(fam, 9, leg)
+        fs = green_seq(fam, 9)
         for n in range(2, 9):
-            b, c = legendre_recurrence_coeffs(fam, n, leg, fs)
+            b, c = legendre_recurrence_coeffs(fam, n)
             assert c == leg.norms_sq[n] / leg.norms_sq[n - 1]
             for j in range(n - 1):
                 assert poly_inner(L2, fs[n + 1], leg.polys[j]) == 0
@@ -124,7 +124,7 @@ def test_four_term_equals_gram_schmidt():
 def test_four_term_coefficient_identities():
     rec = sobolev_four_term(1, 9)
     leg = legendre(1, 9)
-    fs = green_seq(1, 9, leg)
+    fs = green_seq(1, 9)
     for n in sorted(rec.recurrence["c"]):
         cn = rec.recurrence["c"][n]
         dn = rec.recurrence["d"][n]
@@ -215,11 +215,11 @@ def test_associated_family_closed_forms():
     chi = F(1)
     for fam in (2, 3):
         leg = legendre(fam, 4)
-        fs = green_seq(fam, 4, leg)
+        fs = green_seq(fam, 4)
         assoc = associated_family(chi, fam, 4)
         d0_sq, d1_sq, d2_sq = (leg.norms_sq[i] for i in (0, 1, 2))
-        b0, _ = legendre_recurrence_coeffs(fam, 0, leg, fs)
-        b1, _ = legendre_recurrence_coeffs(fam, 1, leg, fs)
+        b0, _ = legendre_recurrence_coeffs(fam, 0)
+        b1, _ = legendre_recurrence_coeffs(fam, 1)
         t2_expected = -(d1_sq * (b0 + b1)) / (d1_sq + b0 * b0 * d0_sq + chi * d0_sq)
         assert assoc.recurrence["t"][2] == t2_expected
         u3_expected = -d2_sq / (poly_inner(L2, fs[1], fs[1]) + chi * d0_sq)
@@ -269,3 +269,94 @@ def test_family_json_roundtrip_shape():
     assert payload["polys"][0] == {"(0,3)": "1"}
     assert all(isinstance(v, str) for v in payload["norms_sq"])
     assert "a" in payload["recurrence"] and "b_tilde" in payload["recurrence"]
+
+
+def test_legendre_memo_returns_exact_prefix():
+    for fam in (1, 2, 3):
+        big = legendre(fam, 8)
+        small = legendre(fam, 3)
+        assert small.polys == big.polys[:4]
+        assert small.norms_sq == big.norms_sq[:4]
+        # independent oracle: classical Gram-Schmidt written out here
+        polys = []
+        for n in range(4):
+            v = Poly.monomial(n, fam)
+            for p in list(polys):
+                v = v - p.scale(poly_inner(L2, v, p) / poly_inner(L2, p, p))
+            polys.append(v)
+        assert small.polys == polys
+
+
+def test_returned_families_do_not_share_state():
+    fam = legendre(2, 4)
+    fam.polys.append(Poly.monomial(9, 2))
+    fam.norms_sq.append(F(1))
+    fam.method = "changed"
+    again = legendre(2, 4)
+    assert len(again.polys) == len(again.norms_sq) == 5
+    assert again.method == "legendre"
+    assert gram_schmidt(L2, 2, 4).method == "gram-schmidt"
+    assert legendre(2, 5).polys[5].is_monic(2)
+    fs = green_seq(2, 3)
+    fs.append(Poly.zero())
+    assert len(green_seq(2, 3)) == 4
+    # sobolev_three_term_sym writes its verdict into its own recurrence table
+    sym, verified = sobolev_three_term_sym(1, 4)
+    assert verified and sym.recurrence["verified_against_gram_schmidt"] is True
+    assert gram_schmidt(S1, 1, 4).recurrence == {}
+
+
+def test_concurrent_builders_match_serial(monkeypatch):
+    import sys
+    import threading
+
+    from sgortho import families
+
+    jobs = [lambda: legendre(3, 7), lambda: sobolev_three_term(3, F(2, 3), 7),
+            lambda: legendre(2, 6), lambda: sobolev_three_term(2, 1, 6)]
+
+    def empty_memo():
+        monkeypatch.setattr(families, "_gram_schmidt", {})
+        monkeypatch.setattr(families, "_green", {})
+
+    empty_memo()
+    serial = [job() for job in jobs]
+    empty_memo()
+    results = [None] * len(jobs)
+    errors = []
+    start = threading.Barrier(len(jobs))
+
+    def worker(i):
+        try:
+            start.wait()
+            results[i] = jobs[i]()
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the builders
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    for got, want in zip(results, serial):
+        assert got.polys == want.polys
+        assert got.norms_sq == want.norms_sq
+        assert got.recurrence == want.recurrence
+
+
+def test_gram_schmidt_accepts_params_built_from_lists():
+    ident = [[F(int(r == c)) for c in range(3)] for r in range(3)]
+    params = SobolevParams(order=1, chi=[F(1), F(2)], energy_weights=[F(1)],
+                           boundary_matrices=[ident])
+    fam = gram_schmidt(params, 2, 3)
+    assert fam.check_orthogonal()
+    assert fam.polys == gram_schmidt(params, 2, 3).polys
+    plain = gram_schmidt(SobolevParams(order=1, chi=[F(1), F(2)]), 2, 3)
+    assert plain.polys == gram_schmidt(SobolevParams.order1(2), 2, 3).polys

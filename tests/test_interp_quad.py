@@ -152,6 +152,8 @@ def test_quadrature_error_ratios_are_exact():
     # exact integrand values leave the composite error a pure power of 5
     rows = quadrature_error_study(1, Poly.monomial(2, 1), 4)
     assert [r["ratio"] for r in rows if "ratio" in r] == [25, 25, 25]
+    rows = quadrature_error_study(1, Poly.monomial(2, 3), 4)
+    assert [r["ratio"] for r in rows if "ratio" in r] == [F(125, 2)] * 3
     rows = quadrature_error_study(0, Poly.monomial(1, 2), 4)
     assert [r["ratio"] for r in rows if "ratio" in r] == [F(25, 2)] * 4
 

@@ -41,7 +41,7 @@ def test_ode_left_side_degree():
 def test_chi_limit_low_degrees():
     f2, name = chi_limit_poly(3, 2)
     leg = legendre(3, 2)
-    fs = green_seq(3, 2, leg)
+    fs = green_seq(3, 2)
     assert name.startswith("f_2 -")
     assert f2 == fs[2] - leg.polys[0].scale(leg.norms_sq[1] / leg.norms_sq[0])
     p1, name1 = chi_limit_poly(3, 1)
