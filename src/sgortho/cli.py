@@ -35,19 +35,20 @@ from .rationals import Rat, rat_decimal, rat_from_str, rat_str
 from .solver import eval_poly_grid
 
 
-def _rat(text: str):
+def _nonneg_rat(text: str):
+    """A non-negative rational, such as a Sobolev weight or a zero threshold."""
     try:
-        return rat_from_str(text)
+        value = rat_from_str(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {text!r}")
+    return value
 
 
 def _weights(text: str):
     """Comma-separated Sobolev weights: non-negative rationals."""
-    values = tuple(_rat(part) for part in text.split(","))
-    if any(v < 0 for v in values):
-        raise argparse.ArgumentTypeError(f"weights must be >= 0, not {text!r}")
-    return values
+    return tuple(_nonneg_rat(part) for part in text.split(","))
 
 
 def _size(text: str) -> int:
@@ -336,8 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=_size, default=7,
                    help=_LEVEL_HELP + " (default 7)")
     p.add_argument("--solve-level", type=_size)
-    p.add_argument("--threshold", type=_rat, default=Rat(1, 10**30),
-                   help="|value| below this counts as an exact zero")
+    p.add_argument("--threshold", type=_nonneg_rat, default=Rat(1, 10**30),
+                   help="|value| at or below this non-negative rational "
+                        "counts as an exact zero")
     add_common(p, digits=False)
     p.set_defaults(fn=cmd_zeros)
 

@@ -48,26 +48,26 @@ _grid_cache: dict[int, LevelGrid] = {}
 
 
 def build_grid(m: int) -> LevelGrid:
-    """Canonical level-m grid; vertices sorted lexicographically (cached)."""
+    """Canonical level-m grid; vertices sorted lexicographically (cached).
+
+    The sort key (word, corner) is the dataclass ordering of VertexAddress,
+    without its per-comparison overhead.  Distinct m-cells share no edge, so
+    each cell adds its three edges once.
+    """
     if m < 0:
         raise ValueError("level must be >= 0")
     if m in _grid_cache:
         return _grid_cache[m]
-    seen: set[VertexAddress] = set()
-    edges: set[tuple[VertexAddress, VertexAddress]] = set()
-    for word in cell_words(m):
-        vs = cell_vertices(word)
-        seen.update(vs)
-        for a in range(3):
-            for b in range(a + 1, 3):
-                e = (vs[a], vs[b]) if vs[a] < vs[b] else (vs[b], vs[a])
-                edges.add(e)
-    vertices = sorted(seen)
+    cells = [cell_vertices(word) for word in cell_words(m)]
+    vertices = sorted({v for vs in cells for v in vs},
+                      key=lambda v: (v.word, v.corner))
     index = {v: i for i, v in enumerate(vertices)}
     adjacency: list[list[int]] = [[] for _ in vertices]
-    for a, b in sorted(edges):
-        adjacency[index[a]].append(index[b])
-        adjacency[index[b]].append(index[a])
+    for vs in cells:
+        i, j, k = (index[v] for v in vs)
+        adjacency[i] += (j, k)
+        adjacency[j] += (i, k)
+        adjacency[k] += (i, j)
     for lst in adjacency:
         lst.sort()
     grid = LevelGrid(m=m, vertices=vertices, index=index, adjacency=adjacency)
@@ -237,8 +237,11 @@ def restrict_edge(field: FieldOnGrid, edge: str):
 def count_sign_changes(values, zero_threshold=Rat(1, 10**30)):
     """Sign changes along a sequence, skipping values below the zero threshold.
 
-    Returns (changes, zeros): strict sign alternations between consecutive
-    surviving entries, and the count of entries treated as exact zeros.
+    `zero_threshold` is a non-negative rational: an entry v with
+    |v| <= zero_threshold counts as an exact zero (a negative threshold would
+    give exact zeros the sign -1).  Returns (changes, zeros): strict sign
+    alternations between consecutive surviving entries, and the count of
+    entries treated as exact zeros.
     High-multiplicity zeros are outside this count's contract; near-zero
     plateaus show up in `zeros` instead.
     """

@@ -1,8 +1,9 @@
 """Exact rational scalars and deterministic rendering helpers.
 
 Every quantity in this package is an exact rational; floating point never
-enters any computation. `gmpy2.mpq` is used when available (much faster on
-the deep grid solves), with `fractions.Fraction` as a pure-stdlib fallback.
+enters any computation. `gmpy2.mpq` is used when available (faster on the
+rational arithmetic of family construction; the grid solves run on Python
+ints either way), with `fractions.Fraction` as a pure-stdlib fallback.
 Both store values in lowest terms with a positive denominator and hash/compare
 identically, so the choice never changes any result.
 """

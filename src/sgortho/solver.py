@@ -19,42 +19,126 @@ only within it, so they can be eliminated cell by cell.  The local matrix is
                                + (3/10) b_AB + (1/10)(b_BC + b_AC).
 
 With zero loads the back-substitution is exactly the harmonic extension rule.
-Everything is rational, so repeated runs are bit-identical and the only error
-against the continuous problem is the collocation residual itself.
+
+Integer form.  The kernel `_solve` works on Python ints over one common
+denominator per level and never reduces.  Level-L loads are integers over
+D; each elimination level multiplies the load denominator by 3, the new
+numerators being 5b(A) + sum [2(b_AB + b_AC) + b_BC].  The back-substitution
+starts from the corner values over a multiple of D 3^L, so every load
+level's denominator divides the value denominator, and each level multiplies
+that denominator by 10: 10 x_AB = 4A + 4B + 2C + 3b_AB + b_AC + b_BC.
+
+Numbering.  Vertices are numbered hierarchically: the level-l vertices are
+the prefix [0, n_l) with n_0 = 3 (the corners q0, q1, q2) and
+n_l = n_{l-1} + 3^l, because the (l-1)-cell with word index i owns the
+level-l midpoints n_{l-1} + 3i + (0, 1, 2), between its corners (0, 1),
+(0, 2) and (1, 2).  `_corner_table` derives the corner indices of every
+level-l cell from those of level l-1 and memoizes them under a lock; they are
+plain ints.  Restricting a solution to a coarser level is taking a prefix.
 
 eval_poly_grid drives this for a polynomial: the top of its Laplacian chain is
-harmonic (extended exactly), then one solve per remaining chain layer with
-exact corner data from the boundary tables.
+harmonic (a zero-load solve), then one solve per remaining chain layer with
+exact corner data from the boundary tables, its loads -2 V over 3 5^L E from
+the previous layer's values V / E.  The whole chain stays in ints; only the
+level-m output values become rationals, one reduction each.  Repeated runs
+are bit-identical, and the only error against the continuous problem is the
+collocation residual itself.
 """
 
 from __future__ import annotations
 
+import threading
+from math import lcm
+
 from .addresses import VertexAddress, spine_address
-from .grid import FieldOnGrid, build_grid, cell_words, harmonic_extend
+from .grid import FieldOnGrid, build_grid, cell_words
 from .poly import Poly
-from .rationals import Rat, ZERO
+from .rationals import Rat, ZERO, over_common_denominator
 
-_THIRD = Rat(1, 3)
-_TWO_THIRDS = Rat(2, 3)
-_FIVE_THIRDS = Rat(5, 3)
-_FIFTH = Rat(1, 5)
-_THREE_TENTHS = Rat(3, 10)
-_TENTH = Rat(1, 10)
+_corner_tables: list[list[tuple[int, int, int]]] = [[(0, 1, 2)]]
+_corner_tables_lock = threading.Lock()  # extension appends by index
 
 
-def _cells_by_level(level: int):
-    """For l in 1..level: list of (corner addrs, midpoint addrs) of all (l-1)-cells."""
-    out = []
-    for l in range(1, level + 1):
-        cells = []
-        for word in cell_words(l - 1):
-            corners = tuple(VertexAddress.make(word, c) for c in (0, 1, 2))
-            mids = (VertexAddress.make(word + (0,), 1),   # between corners 0,1
-                    VertexAddress.make(word + (0,), 2),   # between corners 0,2
-                    VertexAddress.make(word + (1,), 2))   # between corners 1,2
-            cells.append((corners, mids))
-        out.append(cells)
+def _vertex_count(level: int) -> int:
+    """n_level = 3(3^level + 1)/2, the size of the level-`level` prefix."""
+    return 3 * (3**level + 1) // 2
+
+
+def _corner_table(level: int) -> list[tuple[int, int, int]]:
+    """Corner indices of the level-`level` cells in word order (memoized)."""
+    with _corner_tables_lock:
+        while len(_corner_tables) <= level:
+            first = _vertex_count(len(_corner_tables) - 1)
+            cells = []
+            for a0, a1, a2 in _corner_tables[-1]:
+                m01, m02, m12 = first, first + 1, first + 2
+                cells += ((a0, m01, m02), (m01, a1, m12), (m02, m12, a2))
+                first += 3
+            _corner_tables.append(cells)
+        return _corner_tables[level]
+
+
+def _numbered_addresses(level: int) -> list[VertexAddress]:
+    """The addresses of vertices 0 .. n_level - 1 of the numbering."""
+    out = [VertexAddress.make((), c) for c in (0, 1, 2)]
+    for l in range(level):
+        for word in cell_words(l):
+            out += (VertexAddress.make(word + (0,), 1),
+                    VertexAddress.make(word + (0,), 2),
+                    VertexAddress.make(word + (1,), 2))
     return out
+
+
+def _solve(level: int, boundary, loads: list[int], load_den: int):
+    """Integer kernel: (values, den) with values[i] / den the solution at
+    numbered vertex i, for the corner values `boundary` (rationals) and the
+    loads loads[i] / load_den (the corner entries are ignored)."""
+    counts = [_vertex_count(l) for l in range(level + 1)]
+    tables = [_corner_table(l) for l in range(level)]
+    level_loads = [loads]
+    b = loads
+    for l in range(level, 0, -1):
+        m = counts[l - 1]
+        reduced = [5 * x for x in b[:m]]
+        for a0, a1, a2 in tables[l - 1]:
+            b01, b02, b12 = b[m], b[m + 1], b[m + 2]
+            t = 2 * (b01 + b02 + b12)
+            reduced[a0] += t - b12
+            reduced[a1] += t - b02
+            reduced[a2] += t - b01
+            m += 3
+        b = reduced
+        level_loads.append(b)
+    level_loads.reverse()  # level_loads[l] is over load_den * 3^(level - l)
+
+    boundary = [Rat(v) for v in boundary]
+    den = lcm(load_den * 3**level, *(int(v.denominator) for v in boundary))
+    values = [int(v.numerator) * (den // int(v.denominator)) for v in boundary]
+    values += [0] * (counts[level] - 3)
+    for l in range(1, level + 1):
+        scale = den // (load_den * 3**(level - l))
+        b = level_loads[l]
+        m = counts[l - 1]
+        for a0, a1, a2 in tables[l - 1]:
+            x0, x1, x2 = values[a0], values[a1], values[a2]
+            b01, b02, b12 = scale * b[m], scale * b[m + 1], scale * b[m + 2]
+            p = 4 * (x0 + x1 + x2) + b01 + b02 + b12
+            values[m] = p - 2 * (x2 - b01)
+            values[m + 1] = p - 2 * (x1 - b02)
+            values[m + 2] = p - 2 * (x0 - b12)
+            m += 3
+        values[:counts[l - 1]] = [10 * x for x in values[:counts[l - 1]]]
+        den *= 10
+    return values, den
+
+
+def _field(level: int, values: list[int], den: int) -> FieldOnGrid:
+    """The level-`level` grid field of the numbered values[i] / den."""
+    grid = build_grid(level)
+    out: list = [None] * len(grid.vertices)
+    for addr, v in zip(_numbered_addresses(level), values):
+        out[grid.index[addr]] = Rat(v, den)
+    return FieldOnGrid(grid, out)
 
 
 def dirichlet_solve(level: int, boundary, load) -> FieldOnGrid:
@@ -63,40 +147,9 @@ def dirichlet_solve(level: int, boundary, load) -> FieldOnGrid:
     `boundary` holds the three corner values; `load` maps each vertex address
     to the right-hand side of its interior equation (boundary loads ignored).
     """
-    grid = build_grid(level)
-    by_level = _cells_by_level(level)
-    loads: dict[VertexAddress, object] = {v: load(v) for v in grid.vertices}
-    level_loads = [loads]
-    for l in range(level, 0, -1):
-        cells = by_level[l - 1]
-        reduced: dict[VertexAddress, object] = {}
-        for (corners, _mids) in cells:
-            for c in corners:
-                if c not in reduced:
-                    reduced[c] = _FIVE_THIRDS * loads[c]
-        for (corners, mids) in cells:
-            b01, b02, b12 = loads[mids[0]], loads[mids[1]], loads[mids[2]]
-            reduced[corners[0]] += _TWO_THIRDS * (b01 + b02) + _THIRD * b12
-            reduced[corners[1]] += _TWO_THIRDS * (b01 + b12) + _THIRD * b02
-            reduced[corners[2]] += _TWO_THIRDS * (b02 + b12) + _THIRD * b01
-        loads = reduced
-        level_loads.append(loads)
-    level_loads.reverse()  # level_loads[l] now holds the level-l system's loads
-
-    values: dict[VertexAddress, object] = {
-        VertexAddress.make((), c): Rat(boundary[c]) for c in (0, 1, 2)}
-    for l in range(1, level + 1):
-        b_l = level_loads[l]
-        for (corners, mids) in by_level[l - 1]:
-            a0, a1, a2 = (values[c] for c in corners)
-            b01, b02, b12 = b_l[mids[0]], b_l[mids[1]], b_l[mids[2]]
-            values[mids[0]] = ((2 * a0 + 2 * a1 + a2) * _FIFTH
-                               + _THREE_TENTHS * b01 + _TENTH * (b02 + b12))
-            values[mids[1]] = ((2 * a0 + 2 * a2 + a1) * _FIFTH
-                               + _THREE_TENTHS * b02 + _TENTH * (b01 + b12))
-            values[mids[2]] = ((2 * a1 + 2 * a2 + a0) * _FIFTH
-                               + _THREE_TENTHS * b12 + _TENTH * (b01 + b02))
-    return FieldOnGrid(grid, [values[v] for v in grid.vertices])
+    den, loads = over_common_denominator(
+        load(v) for v in _numbered_addresses(level))
+    return _field(level, *_solve(level, boundary, loads, den))
 
 
 def residual_check(field: FieldOnGrid, load) -> bool:
@@ -112,6 +165,10 @@ def residual_check(field: FieldOnGrid, load) -> bool:
         if acc != load(v):
             return False
     return True
+
+
+def _corner_values(f: Poly) -> list:
+    return [f.boundary_value(v) for v in (0, 1, 2)]
 
 
 def eval_poly_grid(f: Poly, m: int, solve_level: int | None = None) -> FieldOnGrid:
@@ -131,19 +188,12 @@ def eval_poly_grid(f: Poly, m: int, solve_level: int | None = None) -> FieldOnGr
     chain = [f]
     while chain[-1].degree > 0:
         chain.append(chain[-1].laplacian())
-    top = chain[-1]
-    field = harmonic_extend([top.boundary_value(v) for v in (0, 1, 2)], solve_level)
-    scale = -_TWO_THIRDS * Rat(1, 5**solve_level)
-    grid = build_grid(solve_level)
+    values, den = _solve(solve_level, _corner_values(chain[-1]),
+                         [0] * _vertex_count(solve_level), 1)
     for layer in reversed(chain[:-1]):
-        rhs_values = field.values
-
-        def load(v, _idx=grid.index, _vals=rhs_values):
-            return scale * _vals[_idx[v]]
-
-        field = dirichlet_solve(
-            solve_level, [layer.boundary_value(v) for v in (0, 1, 2)], load)
-    return field.restrict(m) if m < solve_level else field
+        values, den = _solve(solve_level, _corner_values(layer),
+                             [-2 * v for v in values], 3 * 5**solve_level * den)
+    return _field(m, values, den)
 
 
 def spine_discrepancy(f: Poly, max_depth: int, solve_level: int):

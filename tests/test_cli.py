@@ -197,6 +197,11 @@ def test_usage_error_unknown_zero_set():
     ["ops", "--family", "2", "--chi", "-1", "--degree", "3"],
     ["gram", "--family", "1", "--maxdeg", "2", "--m", "1", "--chi", "-2"],
     ["sweep-chi", "--family", "3", "--n", "3", "--chi-list", "-1"],
+    # a negative zero threshold used to give exact zeros the sign -1 (exit 0)
+    ["zeros", "--family", "3", "--degree", "2", "--level", "2",
+     "--threshold", "-1"],
+    ["zeros", "--family", "3", "--degree", "2", "--level", "2",
+     "--threshold=-1/2"],
 ])
 def test_negative_size_is_usage_error(args, capsys):
     with pytest.raises(SystemExit) as exc:

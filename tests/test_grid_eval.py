@@ -1,14 +1,17 @@
 """Vertex addressing, level grids, the exact midpoint rule, the collocation solver."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from sgortho import solver
 from sgortho.addresses import VertexAddress, mapped, spine_address
 from sgortho.coeffs import TABLE
 from sgortho.errors import ConsistencyError
-from sgortho.grid import (build_grid, cell_words, count_sign_changes,
-                          harmonic_extend, midpoint_weights,
+from sgortho.families import legendre
+from sgortho.grid import (build_grid, cell_vertices, cell_words,
+                          count_sign_changes, harmonic_extend, midpoint_weights,
                           multiharmonic_extend, restrict_edge, vertex_data)
 from sgortho.poly import Poly
 from sgortho.solver import (dirichlet_solve, eval_poly_grid,
@@ -49,6 +52,13 @@ def test_grid_sizes(m):
     boundary = set(grid.boundary_indices())
     for i, neigh in enumerate(grid.adjacency):
         assert len(neigh) == (2 if i in boundary else 4)
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_grid_vertex_order_is_the_address_order(m):
+    grid = build_grid(m)
+    addresses = {VertexAddress.make(w, c) for w in cell_words(m) for c in (0, 1, 2)}
+    assert grid.vertices == sorted(addresses)
 
 
 def test_grid_edges_m0():
@@ -110,6 +120,140 @@ def test_dirichlet_solve_residuals_random_load():
     u = dirichlet_solve(3, [F(1), F(-2), F(1, 3)], load)
     assert residual_check(u, load)
     assert u.value_at(VertexAddress.make((), 0)) == 1
+
+
+def _fraction_dirichlet_solve(level, boundary, load):
+    """Address-keyed Fraction elimination, cell by cell: the oracle for the
+    integer kernel behind `dirichlet_solve` (same rule, no shared code)."""
+    def cells(l):  # (corners, midpoints 01, 02, 12) of every (l-1)-cell
+        return [(tuple(VertexAddress.make(w, c) for c in (0, 1, 2)),
+                 (VertexAddress.make(w + (0,), 1), VertexAddress.make(w + (0,), 2),
+                  VertexAddress.make(w + (1,), 2)))
+                for w in cell_words(l - 1)]
+
+    grid = build_grid(level)
+    loads = {v: F(load(v)) for v in grid.vertices}
+    level_loads = {level: loads}
+    for l in range(level, 0, -1):
+        reduced = {}
+        for corners, _mids in cells(l):
+            for c in corners:
+                reduced.setdefault(c, F(5, 3) * loads[c])
+        for (a0, a1, a2), (m01, m02, m12) in cells(l):
+            b01, b02, b12 = loads[m01], loads[m02], loads[m12]
+            reduced[a0] += F(2, 3) * (b01 + b02) + F(1, 3) * b12
+            reduced[a1] += F(2, 3) * (b01 + b12) + F(1, 3) * b02
+            reduced[a2] += F(2, 3) * (b02 + b12) + F(1, 3) * b01
+        loads = level_loads[l - 1] = reduced
+    values = {VertexAddress.make((), c): F(boundary[c]) for c in (0, 1, 2)}
+    for l in range(1, level + 1):
+        b = level_loads[l]
+        for (a0, a1, a2), (m01, m02, m12) in cells(l):
+            x0, x1, x2 = values[a0], values[a1], values[a2]
+            b01, b02, b12 = b[m01], b[m02], b[m12]
+            values[m01] = (2 * x0 + 2 * x1 + x2) / 5 + F(3, 10) * b01 + (b02 + b12) / 10
+            values[m02] = (2 * x0 + 2 * x2 + x1) / 5 + F(3, 10) * b02 + (b01 + b12) / 10
+            values[m12] = (2 * x1 + 2 * x2 + x0) / 5 + F(3, 10) * b12 + (b01 + b02) / 10
+    return [values[v] for v in grid.vertices]
+
+
+def _fraction_eval_poly_grid(f, m, solve_level):
+    """The Laplacian chain on `_fraction_dirichlet_solve`, restricted to level m."""
+    chain = [f]
+    while chain[-1].degree > 0:
+        chain.append(chain[-1].laplacian())
+    grid = build_grid(solve_level)
+    values = harmonic_extend([chain[-1].boundary_value(c) for c in (0, 1, 2)],
+                             solve_level).values
+    scale = F(-2, 3 * 5**solve_level)
+    for layer in reversed(chain[:-1]):
+        prev = values
+        values = _fraction_dirichlet_solve(
+            solve_level, [layer.boundary_value(c) for c in (0, 1, 2)],
+            lambda v: scale * prev[grid.index[v]])
+    return [values[grid.index[v]] for v in build_grid(m).vertices]
+
+
+def test_corner_tables_number_the_cell_corners():
+    for level in range(6):
+        addrs = solver._numbered_addresses(level)
+        assert len(set(addrs)) == len(addrs) == len(build_grid(level).vertices)
+        assert [tuple(addrs[i] for i in cell) for cell in solver._corner_table(level)] \
+            == [cell_vertices(w) for w in cell_words(level)]
+
+
+def test_concurrent_corner_tables_match_serial(monkeypatch):
+    import sys
+    import threading
+
+    levels = (7, 5, 7, 6, 4, 7)
+    monkeypatch.setattr(solver, "_corner_tables", [[(0, 1, 2)]])
+    serial = [solver._corner_table(level) for level in levels]
+    monkeypatch.setattr(solver, "_corner_tables", [[(0, 1, 2)]])
+    results = [None] * len(levels)
+    errors = []
+    start = threading.Barrier(len(levels))
+
+    def worker(i):
+        try:
+            start.wait()
+            results[i] = solver._corner_table(levels[i])
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(levels))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the extension
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert results == serial
+    assert len(solver._corner_tables) == max(levels) + 1
+
+
+def _random_rat(rng):
+    return F(rng.randint(-10**6, 10**6), rng.choice((1, 2, 3, 5, 7, 9, 10, 12, 49)))
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_dirichlet_solve_matches_fraction_oracle(level):
+    rng = random.Random(100 + level)
+    for _ in range(3):
+        boundary = [_random_rat(rng) for _ in range(3)]
+        loads = {v: _random_rat(rng) for v in build_grid(level).vertices}
+        got = dirichlet_solve(level, boundary, loads.__getitem__)
+        assert got.values == _fraction_dirichlet_solve(level, boundary,
+                                                       loads.__getitem__)
+        assert all(type(v) is type(F(0)) for v in got.values)
+    # integer loads and corners, and a zero load
+    assert dirichlet_solve(level, [1, 0, -2], lambda v: 3).values == \
+        _fraction_dirichlet_solve(level, [1, 0, -2], lambda v: 3)
+    assert dirichlet_solve(level, [0, 0, 0], lambda v: 0).values == [0] * \
+        len(build_grid(level).vertices)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_eval_poly_grid_matches_fraction_oracle(k):
+    family = legendre(k, 5).polys
+    for degree in range(6):
+        for solve_level in (3, 5):
+            got = eval_poly_grid(family[degree], 3, solve_level)
+            assert got.grid is build_grid(3)
+            assert got.values == _fraction_eval_poly_grid(family[degree], 3,
+                                                          solve_level)
+
+
+def test_eval_poly_grid_of_zero_and_constant():
+    assert eval_poly_grid(Poly({}), 2, 3).values == [0] * 15
+    const = Poly({(0, 1): F(7, 3)})
+    assert eval_poly_grid(const, 1, 3).values == \
+        [const.boundary_value(0)] * 6
 
 
 def test_grid_evaluation_exact_for_low_degree():
@@ -255,8 +399,6 @@ def test_multiharmonic_extend_agrees_with_vertex_descent():
                    "the zeros tables pinned in the benchmark references "
                    "(perfbench/references.json) are those wrong counts")
 def test_collocated_zero_counts_match_exact_values():
-    from sgortho.families import legendre
-
     p5 = legendre(3, 5).polys[5]
     collocated = eval_poly_grid(p5, 5)
     exact = multiharmonic_extend(p5.dirichlet_data(), 5)
