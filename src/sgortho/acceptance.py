@@ -347,7 +347,7 @@ def zero_count_report(level: int = 5, degrees=(3, 5), chi=1) -> CheckResult:
                 fields[(label, d)] = fld
                 counts = {}
                 for edge in ("bottom", "left", "right"):
-                    vals = [v for _t, v in restrict_edge(fld, edge)]
+                    vals = restrict_edge(fld, edge)
                     ch, zr = count_sign_changes(vals)
                     counts[edge] = (ch, zr)
                 lines.append(f"{label}_{d} (k={fam}, level {level}): " + ", ".join(

@@ -11,11 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rationals import Rat
-
-#: Planar corner coordinates as (x, r) with y = r*sqrt(3), all rational.
-CORNER_XY = ((Rat(1, 2), Rat(1, 2)), (Rat(0), Rat(0)), (Rat(1), Rat(0)))
-
 
 @dataclass(frozen=True, order=True)
 class VertexAddress:
@@ -52,14 +47,6 @@ class VertexAddress:
         swap = {0: 0, 1: 2, 2: 1}
         return VertexAddress.make(tuple(swap[c] for c in self.word),
                                   swap[self.corner])
-
-    def point(self) -> tuple:
-        """Exact planar position as (x, r) with y = r*sqrt(3)."""
-        x, r = CORNER_XY[self.corner]
-        for letter in reversed(self.word):
-            cx, cr = CORNER_XY[letter]
-            x, r = (x + cx) / 2, (r + cr) / 2
-        return x, r
 
     def __str__(self) -> str:
         return ("".join(map(str, self.word)) or "e") + "." + str(self.corner)

@@ -7,9 +7,10 @@ byte-identical output.  Numeric flags such as --chi accept exact fractions
 header row; JSON uses a stable key order.
 
 Exit codes (every non-zero one comes with a message on stderr): 0 on
-success, 2 on a usage error, 3 when a runtime mathematical assumption is
-violated (or `verify` finds an unexpected failure), 4 when two exact
-computations of the same quantity disagree (an internal consistency check).
+success, 2 on a usage error (an unwritable --out path included), 3 when a
+runtime mathematical assumption is violated (or `verify` finds an unexpected
+failure), 4 when two exact computations of the same quantity disagree (an
+internal consistency check).
 """
 
 from __future__ import annotations
@@ -68,8 +69,12 @@ class UsageError(Exception):
 
 def _write(out_path: str | None, text: str) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out_path}: "
+                             f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -189,8 +194,8 @@ def cmd_zeros(args) -> int:
                                  "recurrence").polys[args.degree]
         field = eval_poly_grid(poly, args.level, solve_level)
         for edge in ("bottom", "left", "right"):
-            vals = [v for _t, v in restrict_edge(field, edge)]
-            changes, zeros = count_sign_changes(vals, args.threshold)
+            changes, zeros = count_sign_changes(restrict_edge(field, edge),
+                                                args.threshold)
             rows.append((which, args.degree, edge, changes, zeros))
     _write(args.out, _csv(rows, ("which", "degree", "edge", "sign_changes",
                                  "exact_zeros")))

@@ -1,8 +1,20 @@
 """Level-m graph approximations of the gasket and exact fields on them.
 
-The level-m graph has the 3(3^m+1)/2 canonical vertices of all m-cells, two
-vertices being adjacent exactly when they share an m-cell.  Fields store one
-exact rational per vertex; decimal output is a rendering choice only.
+The level-m graph has the n_m = 3(3^m+1)/2 canonical vertices of all
+m-cells.  Fields store one exact rational per vertex; decimal output is a
+rendering choice only.
+
+Numbering.  This module alone fixes the vertex order.  Vertices are numbered
+hierarchically: the level-l vertices are the prefix [0, n_l) with n_0 = 3
+(the corners q0, q1, q2) and n_l = n_{l-1} + 3^l, because the (l-1)-cell
+with word index j owns the level-l midpoints n_{l-1} + 3j + (0, 1, 2),
+between its corners (0, 1), (0, 2) and (1, 2).  `_corner_table` derives the
+corner indices of every level-l cell from those of level l-1 and memoizes
+them under a lock; they are plain ints.  Vertex i of a level-m field is
+`values[i]`, and restricting a field to a coarser level is taking a prefix.
+Addresses and planar coordinates are made only on demand: for a lookup
+(`FieldOnGrid.value_at`), a load callback (`LevelGrid.vertices`) or the
+rendering (`FieldOnGrid.csv_rows`, in address order).
 """
 
 from __future__ import annotations
@@ -24,55 +36,87 @@ def cell_words(m: int):
     return product((0, 1, 2), repeat=m)
 
 
-def cell_vertices(word) -> tuple[VertexAddress, VertexAddress, VertexAddress]:
-    return tuple(VertexAddress.make(word, c) for c in (0, 1, 2))
+def _vertex_count(level: int) -> int:
+    """n_level = 3(3^level + 1)/2, the size of the level-`level` prefix."""
+    return 3 * (3**level + 1) // 2
 
 
-@dataclass
+_corner_tables: list[list[tuple[int, int, int]]] = [[(0, 1, 2)]]
+_corner_tables_lock = threading.Lock()  # extension appends by index
+
+
+def _corner_table(level: int) -> list[tuple[int, int, int]]:
+    """Corner indices of the level-`level` cells in word order (memoized)."""
+    with _corner_tables_lock:
+        while len(_corner_tables) <= level:
+            first = _vertex_count(len(_corner_tables) - 1)
+            cells = []
+            for a0, a1, a2 in _corner_tables[-1]:
+                m01, m02, m12 = first, first + 1, first + 2
+                cells += ((a0, m01, m02), (m01, a1, m12), (m02, m12, a2))
+                first += 3
+            _corner_tables.append(cells)
+        return _corner_tables[level]
+
+
+@dataclass(frozen=True)
 class LevelGrid:
-    """Vertices, adjacency and exact planar coordinates of a level-m graph."""
+    """The level-m graph, its vertices numbered as in the module docstring."""
 
     m: int
-    vertices: list[VertexAddress]
-    index: dict[VertexAddress, int]
-    adjacency: list[list[int]]
 
-    def coords(self, i: int) -> tuple:
-        return self.vertices[i].point()
-
-    def boundary_indices(self) -> list[int]:
-        return [self.index[VertexAddress.make((), c)] for c in (0, 1, 2)]
-
-
-_grid_cache: dict[int, LevelGrid] = {}
+    @property
+    def vertices(self) -> list[VertexAddress]:
+        """The canonical addresses of vertices 0 .. n_m - 1 (built per call)."""
+        out = [VertexAddress((), c) for c in (0, 1, 2)]
+        for level in range(self.m):
+            for word in cell_words(level):
+                # the midpoints (0, 1), (0, 2), (1, 2) of cell `word`, canonical
+                out += (VertexAddress(word + (0,), 1), VertexAddress(word + (0,), 2),
+                        VertexAddress(word + (1,), 2))
+        return out
 
 
 def build_grid(m: int) -> LevelGrid:
-    """Canonical level-m grid; vertices sorted lexicographically (cached).
-
-    The sort key (word, corner) is the dataclass ordering of VertexAddress,
-    without its per-comparison overhead.  Distinct m-cells share no edge, so
-    each cell adds its three edges once.
-    """
+    """The level-m grid."""
     if m < 0:
         raise ValueError("level must be >= 0")
-    if m in _grid_cache:
-        return _grid_cache[m]
-    cells = [cell_vertices(word) for word in cell_words(m)]
-    vertices = sorted({v for vs in cells for v in vs},
-                      key=lambda v: (v.word, v.corner))
-    index = {v: i for i, v in enumerate(vertices)}
-    adjacency: list[list[int]] = [[] for _ in vertices]
-    for vs in cells:
-        i, j, k = (index[v] for v in vs)
-        adjacency[i] += (j, k)
-        adjacency[j] += (i, k)
-        adjacency[k] += (i, j)
-    for lst in adjacency:
-        lst.sort()
-    grid = LevelGrid(m=m, vertices=vertices, index=index, adjacency=adjacency)
-    _grid_cache[m] = grid
-    return grid
+    return LevelGrid(m)
+
+
+def _coordinates(m: int) -> tuple[list[int], list[int]]:
+    """Planar positions (x, r) of the level-m vertices as ints over 2^(m+1),
+    with y = r*sqrt(3): each midpoint is the mean of its two corners."""
+    h = 2**m
+    xs, rs = [h, 0, 2 * h], [h, 0, 0]
+    for level in range(m):
+        for a0, a1, a2 in _corner_table(level):
+            for p, q in ((a0, a1), (a0, a2), (a1, a2)):
+                xs.append((xs[p] + xs[q]) // 2)
+                rs.append((rs[p] + rs[q]) // 2)
+    return xs, rs
+
+
+def _address_order(m: int) -> list[tuple[int, str]]:
+    """(vertex index, address) of the level-m vertices in address order.
+
+    A preorder walk of the words, each word's corners in order: the word
+    p+(a,) carries the canonical addresses with corners c > a, which are the
+    (a, c) midpoints n_{|p|} + 3 index(p) + a + c - 1 of cell p.
+    """
+    rows = [(c, f"e.{c}") for c in (0, 1, 2)]
+
+    def visit(word: str, j: int, level: int) -> None:
+        first = _vertex_count(level) + 3 * j
+        for a in (0, 1, 2):
+            child = word + str(a)
+            rows.extend((first + a + c - 1, f"{child}.{c}") for c in range(a + 1, 3))
+            if level + 1 < m:
+                visit(child, 3 * j + a, level + 1)
+
+    if m:
+        visit("", 0, 0)
+    return rows
 
 
 @dataclass
@@ -88,27 +132,43 @@ class FieldOnGrid:
     values: list
 
     def __post_init__(self):
-        if len(self.values) != len(self.grid.vertices):
+        if len(self.values) != _vertex_count(self.grid.m):
             raise ValueError("value array length must match the grid")
 
     def value_at(self, addr: VertexAddress):
-        return self.values[self.grid.index[addr]]
+        """The value at a canonical address of level <= the field's level."""
+        word = addr.word
+        if len(word) > self.grid.m:
+            raise ValueError(f"address {addr} has level {len(word)}, finer than "
+                             f"the level-{self.grid.m} field")
+        if not word:
+            return self.values[addr.corner]
+        if word[-1] == addr.corner:
+            raise ValueError(f"address {addr} is not canonical")
+        j = 0  # the word index of the cell word[:-1]
+        for letter in word[:-1]:
+            j = 3 * j + letter
+        pair = word[-1] + addr.corner - 1  # midpoint (0, 1), (0, 2) or (1, 2)
+        return self.values[_vertex_count(len(word) - 1) + 3 * j + pair]
 
     def restrict(self, m: int) -> "FieldOnGrid":
         """Restriction to the coarser level-m grid (m <= own level)."""
         if m > self.grid.m:
             raise ValueError("can only restrict to a coarser level")
-        coarse = build_grid(m)
-        return FieldOnGrid(coarse, [self.value_at(v) for v in coarse.vertices])
+        return FieldOnGrid(build_grid(m), self.values[:_vertex_count(m)])
 
     def max_abs(self):
         return max((abs(v) for v in self.values), default=ZERO)
 
     def csv_rows(self, digits: int = 12):
-        """Rows (address, x, y, value) with deterministic decimal rendering."""
-        for i, v in enumerate(self.grid.vertices):
-            x, r = v.point()
-            yield (str(v), rat_decimal(x, digits), rat_decimal(r * _SQRT3, digits),
+        """Rows (address, x, y, value) in address order, with deterministic
+        decimal rendering."""
+        m = self.grid.m
+        xs, rs = _coordinates(m)
+        den = 2 ** (m + 1)
+        for i, addr in _address_order(m):
+            yield (addr, rat_decimal(Rat(xs[i], den), digits),
+                   rat_decimal(Rat(rs[i], den) * _SQRT3, digits),
                    rat_decimal(self.values[i], digits))
 
 
@@ -180,21 +240,15 @@ def vertex_data(data, addr: VertexAddress) -> tuple:
 def multiharmonic_extend(data, m: int) -> FieldOnGrid:
     """Exact values on the level-m grid of the polynomial with corner data
     `data` = (L_q0, L_q1, L_q2), each L listing Lap^s u(q) for s <= degree."""
-    grid = build_grid(m)
-    values: list = [None] * len(grid.vertices)
     degree = len(data[0]) - 1
-    weights = [_cell_weights(level, degree) for level in range(m)]
-
-    def fill(word, corners):
-        if len(word) == m:
-            for c in range(3):
-                values[grid.index[VertexAddress.make(word, c)]] = corners[c][0]
-            return
-        for letter, sub in enumerate(_split(corners, weights[len(word)])):
-            fill(word + (letter,), sub)
-
-    fill((), data)
-    return FieldOnGrid(grid, values)
+    laps = list(data)  # laps[i]: the iterated Laplacian data at vertex i
+    for level in range(m):
+        weights = _cell_weights(level, degree)
+        for a0, a1, a2 in _corner_table(level):
+            x0, x1, x2 = laps[a0], laps[a1], laps[a2]
+            laps += (_midpoint(x0, x1, x2, weights), _midpoint(x0, x2, x1, weights),
+                     _midpoint(x1, x2, x0, weights))
+    return FieldOnGrid(build_grid(m), [x[0] for x in laps])
 
 
 def harmonic_extend(boundary, m: int) -> FieldOnGrid:
@@ -207,31 +261,20 @@ def harmonic_extend(boundary, m: int) -> FieldOnGrid:
 EDGE_LETTERS = {"bottom": (1, 2), "left": (0, 1), "right": (0, 2)}
 
 
-def restrict_edge(field: FieldOnGrid, edge: str):
-    """Values along one boundary edge, ordered by position.
-
-    Returns [(t, value)] where t is the exact dyadic parameter from the first
-    edge corner to the second; a level-m field yields 2^m + 1 points.
-    """
+def restrict_edge(field: FieldOnGrid, edge: str) -> list:
+    """Values along one boundary edge, from its first corner to its second;
+    a level-m field yields 2^m + 1 of them."""
     letters = EDGE_LETTERS.get(edge)
     if letters is None:
         raise ValueError(f"edge must be one of {sorted(EDGE_LETTERS)}, got {edge!r}")
     i, j = letters
-    allowed = {i, j}
-    rows = []
-    for idx, v in enumerate(field.grid.vertices):
-        if v.corner in allowed and all(c in allowed for c in v.word):
-            t = Rat(0)
-            scale = Rat(1)
-            for letter in v.word:
-                if letter == j:
-                    t += scale / 2
-                scale /= 2
-            if v.corner == j:
-                t += scale
-            rows.append((t, field.values[idx]))
-    rows.sort(key=lambda r: r[0])
-    return rows
+    path = [i, j]  # vertex indices along the edge
+    cells = [0]  # word indices of the level-l cells on the edge, in edge order
+    for level in range(field.grid.m):
+        first = _vertex_count(level) + i + j - 1  # the (i, j) midpoint of cell 0
+        path = [v for c, a in zip(cells, path) for v in (a, first + 3 * c)] + [j]
+        cells = [3 * c + s for c in cells for s in (i, j)]
+    return [field.values[v] for v in path]
 
 
 def count_sign_changes(values, zero_threshold=Rat(1, 10**30)):

@@ -28,13 +28,7 @@ starts from the corner values over a multiple of D 3^L, so every load
 level's denominator divides the value denominator, and each level multiplies
 that denominator by 10: 10 x_AB = 4A + 4B + 2C + 3b_AB + b_AC + b_BC.
 
-Numbering.  Vertices are numbered hierarchically: the level-l vertices are
-the prefix [0, n_l) with n_0 = 3 (the corners q0, q1, q2) and
-n_l = n_{l-1} + 3^l, because the (l-1)-cell with word index i owns the
-level-l midpoints n_{l-1} + 3i + (0, 1, 2), between its corners (0, 1),
-(0, 2) and (1, 2).  `_corner_table` derives the corner indices of every
-level-l cell from those of level l-1 and memoizes them under a lock; they are
-plain ints.  Restricting a solution to a coarser level is taking a prefix.
+Vertices are numbered as in `grid` (see its module docstring).
 
 eval_poly_grid drives this for a polynomial: the top of its Laplacian chain is
 harmonic (a zero-load solve), then one solve per remaining chain layer with
@@ -47,46 +41,12 @@ collocation residual itself.
 
 from __future__ import annotations
 
-import threading
 from math import lcm
 
-from .addresses import VertexAddress, spine_address
-from .grid import FieldOnGrid, build_grid, cell_words
+from .addresses import spine_address
+from .grid import FieldOnGrid, _corner_table, _vertex_count, build_grid
 from .poly import Poly
 from .rationals import Rat, ZERO, over_common_denominator
-
-_corner_tables: list[list[tuple[int, int, int]]] = [[(0, 1, 2)]]
-_corner_tables_lock = threading.Lock()  # extension appends by index
-
-
-def _vertex_count(level: int) -> int:
-    """n_level = 3(3^level + 1)/2, the size of the level-`level` prefix."""
-    return 3 * (3**level + 1) // 2
-
-
-def _corner_table(level: int) -> list[tuple[int, int, int]]:
-    """Corner indices of the level-`level` cells in word order (memoized)."""
-    with _corner_tables_lock:
-        while len(_corner_tables) <= level:
-            first = _vertex_count(len(_corner_tables) - 1)
-            cells = []
-            for a0, a1, a2 in _corner_tables[-1]:
-                m01, m02, m12 = first, first + 1, first + 2
-                cells += ((a0, m01, m02), (m01, a1, m12), (m02, m12, a2))
-                first += 3
-            _corner_tables.append(cells)
-        return _corner_tables[level]
-
-
-def _numbered_addresses(level: int) -> list[VertexAddress]:
-    """The addresses of vertices 0 .. n_level - 1 of the numbering."""
-    out = [VertexAddress.make((), c) for c in (0, 1, 2)]
-    for l in range(level):
-        for word in cell_words(l):
-            out += (VertexAddress.make(word + (0,), 1),
-                    VertexAddress.make(word + (0,), 2),
-                    VertexAddress.make(word + (1,), 2))
-    return out
 
 
 def _solve(level: int, boundary, loads: list[int], load_den: int):
@@ -132,39 +92,28 @@ def _solve(level: int, boundary, loads: list[int], load_den: int):
     return values, den
 
 
-def _field(level: int, values: list[int], den: int) -> FieldOnGrid:
-    """The level-`level` grid field of the numbered values[i] / den."""
-    grid = build_grid(level)
-    out: list = [None] * len(grid.vertices)
-    for addr, v in zip(_numbered_addresses(level), values):
-        out[grid.index[addr]] = Rat(v, den)
-    return FieldOnGrid(grid, out)
-
-
 def dirichlet_solve(level: int, boundary, load) -> FieldOnGrid:
     """Exact solution of the level-`level` discrete Dirichlet problem.
 
     `boundary` holds the three corner values; `load` maps each vertex address
     to the right-hand side of its interior equation (boundary loads ignored).
     """
-    den, loads = over_common_denominator(
-        load(v) for v in _numbered_addresses(level))
-    return _field(level, *_solve(level, boundary, loads, den))
+    grid = build_grid(level)
+    load_den, loads = over_common_denominator(load(v) for v in grid.vertices)
+    values, den = _solve(level, boundary, loads, load_den)
+    return FieldOnGrid(grid, [Rat(v, den) for v in values])
 
 
 def residual_check(field: FieldOnGrid, load) -> bool:
-    """Verify every interior equation of the discrete system exactly."""
-    grid = field.grid
-    boundary = set(grid.boundary_indices())
-    for i, v in enumerate(grid.vertices):
-        if i in boundary:
-            continue
-        acc = ZERO
-        for j in grid.adjacency[i]:
-            acc += field.values[i] - field.values[j]
-        if acc != load(v):
-            return False
-    return True
+    """Verify every interior equation of the discrete system exactly: each
+    cell adds its three edges to the sums at their ends."""
+    x = field.values
+    sums = [ZERO] * len(x)
+    for a0, a1, a2 in _corner_table(field.grid.m):
+        sums[a0] += 2 * x[a0] - x[a1] - x[a2]
+        sums[a1] += 2 * x[a1] - x[a0] - x[a2]
+        sums[a2] += 2 * x[a2] - x[a0] - x[a1]
+    return all(s == load(v) for s, v in zip(sums[3:], field.grid.vertices[3:]))
 
 
 def _corner_values(f: Poly) -> list:
@@ -193,7 +142,7 @@ def eval_poly_grid(f: Poly, m: int, solve_level: int | None = None) -> FieldOnGr
     for layer in reversed(chain[:-1]):
         values, den = _solve(solve_level, _corner_values(layer),
                              [-2 * v for v in values], 3 * 5**solve_level * den)
-    return _field(m, values, den)
+    return FieldOnGrid(build_grid(m), [Rat(v, den) for v in values[:_vertex_count(m)]])
 
 
 def spine_discrepancy(f: Poly, max_depth: int, solve_level: int):

@@ -181,6 +181,16 @@ def test_usage_error_unknown_zero_set():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_is_usage_error(tmp_path, where):
+    path = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
+    proc = run_cli(["coeffs", "--max-j", "1", "--out", str(path)])
+    assert proc.returncode == 2
+    assert f"cannot write --out {path}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("args", [
     # each of these used to escape as a ValueError traceback (exit 1)
     ["ops", "--family", "2", "--degree", "-1"],

@@ -5,17 +5,41 @@ from fractions import Fraction as F
 
 import pytest
 
-from sgortho import solver
 from sgortho.addresses import VertexAddress, mapped, spine_address
 from sgortho.coeffs import TABLE
 from sgortho.errors import ConsistencyError
 from sgortho.families import legendre
-from sgortho.grid import (build_grid, cell_vertices, cell_words,
-                          count_sign_changes, harmonic_extend, midpoint_weights,
+from sgortho.grid import (EDGE_LETTERS, _SQRT3, _corner_table, _vertex_count,
+                          build_grid, cell_words, count_sign_changes,
+                          harmonic_extend, midpoint_weights,
                           multiharmonic_extend, restrict_edge, vertex_data)
 from sgortho.poly import Poly
+from sgortho.rationals import rat_decimal
 from sgortho.solver import (dirichlet_solve, eval_poly_grid,
                             residual_check, spine_discrepancy)
+
+#: Planar corner coordinates as (x, r) with y = r*sqrt(3).
+CORNER_XY = ((F(1, 2), F(1, 2)), (F(0), F(0)), (F(1), F(0)))
+
+
+def _point(addr):
+    """Exact planar position (x, r) of an address, one halving per letter:
+    the oracle for the integer coordinates behind `csv_rows`."""
+    x, r = CORNER_XY[addr.corner]
+    for letter in reversed(addr.word):
+        cx, cr = CORNER_XY[letter]
+        x, r = (x + cx) / 2, (r + cr) / 2
+    return x, r
+
+
+def _neighbours(m):
+    """Neighbour lists of the level-m graph, from the cell tables: two
+    vertices are adjacent exactly when they share an m-cell."""
+    out = [[] for _ in range(_vertex_count(m))]
+    for cell in _corner_table(m):
+        for a in cell:
+            out[a] += [b for b in cell if b != a]
+    return out
 
 
 def test_canonicalization_twins_and_padding():
@@ -29,14 +53,14 @@ def test_canonicalization_twins_and_padding():
 
 def test_points_and_reflection():
     q0 = VertexAddress.make((), 0)
-    assert q0.point() == (F(1, 2), F(1, 2))
+    assert _point(q0) == (F(1, 2), F(1, 2))
     m12 = VertexAddress.make((1,), 2)
-    assert m12.point() == (F(1, 2), F(0))
+    assert _point(m12) == (F(1, 2), F(0))
     assert m12.reflect() == m12
     m01 = VertexAddress.make((0,), 1)
     assert m01.reflect() == VertexAddress.make((0,), 2)
     # twins map to the same planar point
-    assert VertexAddress((0, 1), 2).point() == VertexAddress((0, 2), 1).point()
+    assert _point(VertexAddress((0, 1), 2)) == _point(VertexAddress((0, 2), 1))
 
 
 def test_spine_depth():
@@ -49,21 +73,30 @@ def test_spine_depth():
 def test_grid_sizes(m):
     grid = build_grid(m)
     assert len(grid.vertices) == 3 * (3**m + 1) // 2
-    boundary = set(grid.boundary_indices())
-    for i, neigh in enumerate(grid.adjacency):
-        assert len(neigh) == (2 if i in boundary else 4)
+    assert grid.vertices[:3] == [VertexAddress.make((), c) for c in (0, 1, 2)]
+    for i, neigh in enumerate(_neighbours(m)):
+        assert len(set(neigh)) == len(neigh) == (2 if i < 3 else 4)
 
 
 @pytest.mark.parametrize("m", range(6))
 def test_grid_vertex_order_is_the_address_order(m):
-    grid = build_grid(m)
-    addresses = {VertexAddress.make(w, c) for w in cell_words(m) for c in (0, 1, 2)}
-    assert grid.vertices == sorted(addresses)
+    # every vertex is numbered once, and the CSV rows equal the oracle
+    # rendering: sorted canonical addresses, points by Fraction halvings and
+    # values by descending the cells of each address
+    addresses = sorted({VertexAddress.make(w, c)
+                        for w in cell_words(m) for c in (0, 1, 2)})
+    assert sorted(build_grid(m).vertices) == addresses
+    data = Poly({(2, 1): F(3), (1, 2): F(-2), (1, 3): F(1, 2)}).dirichlet_data()
+    expected = []
+    for v in addresses:
+        x, r = _point(v)
+        expected.append((str(v), rat_decimal(x, 12), rat_decimal(r * _SQRT3, 12),
+                         rat_decimal(vertex_data(data, v)[0], 12)))
+    assert list(multiharmonic_extend(data, m).csv_rows(12)) == expected
 
 
 def test_grid_edges_m0():
-    grid = build_grid(0)
-    assert sum(len(n) for n in grid.adjacency) // 2 == 3
+    assert sum(len(n) for n in _neighbours(0)) // 2 == 3
 
 
 def test_harmonic_extension_examples():
@@ -162,7 +195,8 @@ def _fraction_eval_poly_grid(f, m, solve_level):
     chain = [f]
     while chain[-1].degree > 0:
         chain.append(chain[-1].laplacian())
-    grid = build_grid(solve_level)
+    vertices = build_grid(solve_level).vertices
+    index = {v: i for i, v in enumerate(vertices)}
     values = harmonic_extend([chain[-1].boundary_value(c) for c in (0, 1, 2)],
                              solve_level).values
     scale = F(-2, 3 * 5**solve_level)
@@ -170,26 +204,29 @@ def _fraction_eval_poly_grid(f, m, solve_level):
         prev = values
         values = _fraction_dirichlet_solve(
             solve_level, [layer.boundary_value(c) for c in (0, 1, 2)],
-            lambda v: scale * prev[grid.index[v]])
-    return [values[grid.index[v]] for v in build_grid(m).vertices]
+            lambda v: scale * prev[index[v]])
+    return [values[index[v]] for v in build_grid(m).vertices]
 
 
 def test_corner_tables_number_the_cell_corners():
     for level in range(6):
-        addrs = solver._numbered_addresses(level)
-        assert len(set(addrs)) == len(addrs) == len(build_grid(level).vertices)
-        assert [tuple(addrs[i] for i in cell) for cell in solver._corner_table(level)] \
-            == [cell_vertices(w) for w in cell_words(level)]
+        addrs = build_grid(level).vertices
+        assert len(set(addrs)) == len(addrs) == _vertex_count(level)
+        assert [tuple(addrs[i] for i in cell) for cell in _corner_table(level)] \
+            == [tuple(VertexAddress.make(w, c) for c in (0, 1, 2))
+                for w in cell_words(level)]
 
 
 def test_concurrent_corner_tables_match_serial(monkeypatch):
     import sys
     import threading
 
+    import sgortho.grid as grid
+
     levels = (7, 5, 7, 6, 4, 7)
-    monkeypatch.setattr(solver, "_corner_tables", [[(0, 1, 2)]])
-    serial = [solver._corner_table(level) for level in levels]
-    monkeypatch.setattr(solver, "_corner_tables", [[(0, 1, 2)]])
+    monkeypatch.setattr(grid, "_corner_tables", [[(0, 1, 2)]])
+    serial = [grid._corner_table(level) for level in levels]
+    monkeypatch.setattr(grid, "_corner_tables", [[(0, 1, 2)]])
     results = [None] * len(levels)
     errors = []
     start = threading.Barrier(len(levels))
@@ -197,7 +234,7 @@ def test_concurrent_corner_tables_match_serial(monkeypatch):
     def worker(i):
         try:
             start.wait()
-            results[i] = solver._corner_table(levels[i])
+            results[i] = grid._corner_table(levels[i])
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
@@ -214,7 +251,7 @@ def test_concurrent_corner_tables_match_serial(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert not errors
     assert results == serial
-    assert len(solver._corner_tables) == max(levels) + 1
+    assert len(grid._corner_tables) == max(levels) + 1
 
 
 def _random_rat(rng):
@@ -244,7 +281,7 @@ def test_eval_poly_grid_matches_fraction_oracle(k):
     for degree in range(6):
         for solve_level in (3, 5):
             got = eval_poly_grid(family[degree], 3, solve_level)
-            assert got.grid is build_grid(3)
+            assert got.grid == build_grid(3)
             assert got.values == _fraction_eval_poly_grid(family[degree], 3,
                                                           solve_level)
 
@@ -290,16 +327,39 @@ def test_antisymmetry_of_family3_fields():
         assert fld.values[i] == -fld.value_at(v.reflect())
 
 
+def _edge_oracle(field, edge):
+    """The vertices whose word and corner use only the edge's two letters,
+    sorted by their exact dyadic parameter t from the first corner."""
+    i, j = EDGE_LETTERS[edge]
+    rows = []
+    for idx, v in enumerate(field.grid.vertices):
+        if v.corner in (i, j) and all(c in (i, j) for c in v.word):
+            t, scale = F(0), F(1)
+            for letter in v.word:
+                if letter == j:
+                    t += scale / 2
+                scale /= 2
+            if v.corner == j:
+                t += scale
+            rows.append((t, field.values[idx]))
+    rows.sort(key=lambda r: r[0])
+    assert rows[0][0] == 0 and rows[-1][0] == 1
+    return [v for _t, v in rows]
+
+
 def test_restrict_edge_counts_and_order():
-    h = harmonic_extend([F(1), F(2), F(3)], 3)
-    for edge in ("bottom", "left", "right"):
-        rows = restrict_edge(h, edge)
-        assert len(rows) == 2**3 + 1
-        params = [t for t, _v in rows]
-        assert params == sorted(params)
-        assert params[0] == 0 and params[-1] == 1
+    p = Poly({(2, 1): F(3), (1, 2): F(-2), (1, 3): F(1, 2), (0, 3): F(1)})
+    data = p.dirichlet_data()
+    for m in range(6):
+        field = multiharmonic_extend(data, m)
+        for edge in ("bottom", "left", "right"):
+            vals = restrict_edge(field, edge)
+            assert len(vals) == 2**m + 1
+            assert vals == _edge_oracle(field, edge)
     ends = restrict_edge(harmonic_extend([F(1), F(2), F(3)], 0), "bottom")
-    assert [v for _t, v in ends] == [F(2), F(3)]
+    assert ends == [F(2), F(3)]
+    with pytest.raises(ValueError):
+        restrict_edge(field, "top")
 
 
 def test_restrict_edge_129_points_at_level7():
@@ -309,7 +369,7 @@ def test_restrict_edge_129_points_at_level7():
 
 def test_bottom_edge_antisymmetric_for_family3():
     fld = eval_poly_grid(Poly.monomial(1, 3), 2, solve_level=4)
-    vals = [v for _t, v in restrict_edge(fld, "bottom")]
+    vals = restrict_edge(fld, "bottom")
     assert all(vals[i] == -vals[-1 - i] for i in range(len(vals)))
 
 
@@ -320,7 +380,7 @@ def test_count_sign_changes():
     assert count_sign_changes([F(1), F(0), F(-2)]) == (1, 1)
     # the lowest anti-symmetric harmonic changes sign once across the bottom
     h = harmonic_extend([TABLE.value(0, 3, v) for v in (0, 1, 2)], 4)
-    vals = [v for _t, v in restrict_edge(h, "bottom")]
+    vals = restrict_edge(h, "bottom")
     changes, zeros = count_sign_changes(vals)
     assert changes == 1 and zeros == 1
 
@@ -332,6 +392,16 @@ def test_field_restrict_and_csv():
     rows = list(coarse.csv_rows(6))
     assert rows[0][0] == "e.0"
     assert all(len(r) == 4 for r in rows)
+
+
+def test_value_at_rejects_a_finer_address():
+    field = harmonic_extend([F(1), F(2), F(3)], 2)
+    addr = VertexAddress.make((1, 2), 0)
+    assert field.value_at(addr) == vertex_data([(F(1),), (F(2),), (F(3),)], addr)[0]
+    with pytest.raises(ValueError, match="level 3.*level-2"):
+        field.value_at(VertexAddress.make((0, 1, 2), 1))
+    with pytest.raises(ValueError, match="not canonical"):
+        field.value_at(VertexAddress((0,), 0))  # padded: the corner q0 itself
 
 
 def test_mapped_addresses():
@@ -403,6 +473,6 @@ def test_collocated_zero_counts_match_exact_values():
     collocated = eval_poly_grid(p5, 5)
     exact = multiharmonic_extend(p5.dirichlet_data(), 5)
     for edge in ("bottom", "left", "right"):
-        counts = [count_sign_changes([v for _t, v in restrict_edge(fld, edge)])
+        counts = [count_sign_changes(restrict_edge(fld, edge))
                   for fld in (collocated, exact)]
         assert counts[0] == counts[1], edge

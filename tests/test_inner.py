@@ -179,22 +179,18 @@ def test_energy_examples():
 def test_energy_matches_renormalized_graph_energy_for_harmonics():
     # independent oracle: for harmonic u, v the renormalized level-m graph
     # energy (5/3)^m E_m(u, v) equals the energy form at every level
-    from sgortho.grid import build_grid, harmonic_extend
+    from sgortho.grid import _corner_table, harmonic_extend
 
     p02 = Poly.monomial(0, 2)
     p03 = Poly.monomial(0, 3)
     for m in (1, 2, 3):
-        grid = build_grid(m)
         u = harmonic_extend([0, F(-1, 2), F(-1, 2)], m)
         v = harmonic_extend([0, F(1, 2), F(-1, 2)], m)
-        seen = set()
         e_uu = F(0)
         e_uv = F(0)
-        for i, neigh in enumerate(grid.adjacency):
-            for j in neigh:
-                if (j, i) in seen:
-                    continue
-                seen.add((i, j))
+        # every edge of the level-m graph lies in exactly one m-cell
+        for a0, a1, a2 in _corner_table(m):
+            for i, j in ((a0, a1), (a0, a2), (a1, a2)):
                 du = u.values[i] - u.values[j]
                 dv = v.values[i] - v.values[j]
                 e_uu += du * du
