@@ -233,6 +233,8 @@ def cmd_interp(args) -> int:
 
 
 def cmd_quad(args) -> int:
+    if args.study_degree is not None and args.m_max < args.n:
+        raise UsageError(f"--m-max {args.m_max} is below --n {args.n}")
     rule = quadrature_weights(args.n)
     if args.study_degree is None:
         _write(args.out, _json(rule.to_json_dict()))

@@ -18,7 +18,9 @@ alpha'_j is alpha_j except alpha'_0 = 1/2; it carries the normal derivative
 of the k=2 family at q1/q2.  Any sequence queried at a negative index is 0,
 which keeps every downstream shifted-index sum valid without special cases.
 
-All arithmetic is exact rational; powers of 5 are exact integers.  Sequences
+All arithmetic is exact rational; powers of 5 are exact integers.  Each new
+term is one integer sum: the numerators and denominators of its products are
+brought to one common denominator, and the term is reduced once.  Sequences
 are memoized and extended on demand; extension is serialized by a lock so the
 table is safe for concurrent readers.
 """
@@ -26,6 +28,7 @@ table is safe for concurrent readers.
 from __future__ import annotations
 
 import threading
+from math import lcm
 
 from .rationals import Rat, ZERO
 
@@ -50,17 +53,24 @@ class CoeffTable:
             a, b, e = self._alpha, self._beta, self._eta
             while len(a) <= n:
                 j = len(a)
-                a.append(Rat(4, 5**j - 5) * sum(
-                    (a[j - l] * a[l] for l in range(1, j)), ZERO))
+                num, den = _int_sum(
+                    (a[j - l].numerator * a[l].numerator,
+                     a[j - l].denominator * a[l].denominator) for l in range(1, j))
+                a.append(Rat(4 * num, (5**j - 5) * den))
             while len(b) <= n:
                 j = len(b)
-                b.append(Rat(2, 15 * (5**j - 1)) * sum(
-                    ((3 * 5**(j - l) - 5**(l + 1) + 6) * a[j - l] * b[l]
-                     for l in range(j)), ZERO))
+                num, den = _int_sum(
+                    ((3 * 5**(j - l) - 5**(l + 1) + 6) * a[j - l].numerator
+                     * b[l].numerator, a[j - l].denominator * b[l].denominator)
+                    for l in range(j))
+                b.append(Rat(2 * num, 15 * (5**j - 1) * den))
             while len(e) <= n:
                 j = len(e)
-                e.append(Rat(5**j + 1, 2) * a[j] + 2 * sum(
-                    (e[l] * b[j - l] for l in range(j)), ZERO))
+                num, den = _int_sum(
+                    [((5**j + 1) * a[j].numerator, 2 * a[j].denominator)]
+                    + [(2 * e[l].numerator * b[j - l].numerator,
+                        e[l].denominator * b[j - l].denominator) for l in range(j)])
+                e.append(Rat(num, den))
 
     def alpha(self, j: int):
         if j < 0:
@@ -145,6 +155,14 @@ class CoeffTable:
         if k == 2:
             return -2 * self.alpha(j + 1)
         return ZERO  # k=3 is anti-symmetric
+
+
+def _int_sum(terms) -> tuple[int, int]:
+    """(num, den) with num/den = the sum of the fractions n/d in `terms`
+    (integer pairs), over den = the lcm of the d; nothing is reduced."""
+    terms = list(terms)
+    den = lcm(*(d for _, d in terms))
+    return sum(n * (den // d) for n, d in terms), den
 
 
 def _check_jk(j: int, k: int) -> None:

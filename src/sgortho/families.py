@@ -29,6 +29,16 @@ Every builder takes one step per degree through `_orthogonalize`: project a
 candidate (a monomial, a Green image) onto a window of earlier members,
 subtract, and keep the coefficients as the recurrence table.
 
+Squared norms come from the leading monomial: a monic s_n orthogonal to
+every lower degree of its family has |s_n|^2 = <s_n, P_{n,k}>, a product
+against one monomial instead of a dense <s_n, s_n>.  gram_schmidt,
+sobolev_three_term, sobolev_four_term and sobolev_higher use it; their
+members are monic and the test suite checks them against Gram-Schmidt.
+sobolev_three_term_sym keeps <s_n, s_n>: its recurrence is verified only
+empirically, and a member that fails the check need not be orthogonal to
+the lower degrees.  associated_family keeps it too, because its members are
+not monic over the span of the lower degrees.
+
 Gram-Schmidt families (Legendre among them) and Green images are memoized
 per (params, family) and per family, extended on demand under one lock; each
 f_t is checked against its closed form once, when first built.  Every call
@@ -116,6 +126,13 @@ def _orthogonalize(params: SobolevParams, f: Poly, polys: list[Poly],
     return out, coefs
 
 
+def _leading_norm(params: SobolevParams, s: Poly, family: int):
+    """<s, s> for a monic s orthogonal to every lower degree of its family,
+    as <s, P_{deg s, family}>: s - P_{deg s, family} lies in the span of the
+    lower degrees, so it contributes nothing."""
+    return sob_inner(params, s, Poly.monomial(s.degree, family))
+
+
 _lock = threading.RLock()  # extension appends by index; builders nest
 _gram_schmidt: dict[tuple[SobolevParams, int], tuple[list[Poly], list]] = {}
 _green: dict[int, list[Poly]] = {}
@@ -130,7 +147,7 @@ def gram_schmidt(params: SobolevParams, family: int, maxdeg: int) -> OPFamily:
         for n in range(len(polys), maxdeg + 1):
             v, _ = _orthogonalize(params, Poly.monomial(n, family), polys, norms,
                                   range(n))
-            nv = sob_inner(params, v, v)
+            nv = _leading_norm(params, v, family)
             if nv <= 0:
                 raise ConsistencyError(f"Gram-Schmidt norm not positive at degree {n}")
             polys.append(v)
@@ -213,7 +230,7 @@ def sobolev_three_term(family: int, chi, maxdeg: int) -> OPFamily:
         s_next, (a[n], b_tilde[n]) = _orthogonalize(params, fs[n + 1], polys,
                                                     norms, (n, n - 1))
         polys.append(s_next)
-        norms.append(sob_inner(params, s_next, s_next))
+        norms.append(_leading_norm(params, s_next, family))
     return OPFamily(family=family, params=params, polys=polys, norms_sq=norms,
                     method="three-term", recurrence={"a": a, "b_tilde": b_tilde})
 
@@ -272,7 +289,7 @@ def sobolev_four_term(chi, maxdeg: int) -> OPFamily:
                                               (n + 2, n + 1))
         s_next = s_next - polys[n].scale(c[n])
         polys.append(s_next)
-        norms.append(sob_inner(params, s_next, s_next))
+        norms.append(_leading_norm(params, s_next, 1))
     return OPFamily(family=1, params=params, polys=polys, norms_sq=norms,
                     method="four-term",
                     recurrence={"a": a, "b": b, "c": c, "d": d})
@@ -345,7 +362,7 @@ def sobolev_higher(params: SobolevParams, family: int, maxdeg: int) -> OPFamily:
                                        polys, norms, [n + m - l for l in ls])
         a.update(zip(((n, l) for l in ls), coefs))
         polys.append(s_next)
-        norms.append(sob_inner(params, s_next, s_next))
+        norms.append(_leading_norm(params, s_next, family))
     return OPFamily(family=family, params=params, polys=polys, norms_sq=norms,
                     method="higher-recurrence", recurrence={"a": a})
 

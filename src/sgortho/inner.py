@@ -12,7 +12,14 @@ reduction
 
 with B(f, g) = sum_l [f(q_l) dn g(q_l) - g(q_l) dn f(q_l)] read off the exact
 boundary tables.  Cross products of the symmetric families (k=1,2) against the
-anti-symmetric family (k=3) vanish term by term.
+anti-symmetric family (k=3) vanish term by term.  Splitting off the s=1 term
+gives the antidiagonal step
+
+    L2(j, k) = L2(j+1, k-1) - B(P_{j+1,i}, P_{k,i'}),    L2(j, -1) = 0,
+
+so mono_inner_l2 walks the antidiagonal j + k = const from its first cached
+entry and pays one B per new entry instead of k+1.  Every entry it passes is
+cached.
 
 Order-m Sobolev products are weighted sums of degree-shifted L2 products,
 since the Laplacian shifts monomial indices down:
@@ -46,33 +53,40 @@ _l2_cache: dict[tuple[Index, Index], object] = {}
 
 
 def _boundary_bilinear(a: Index, b: Index):
-    """B(P_a, P_b) = sum over corners of [P_a dn P_b - P_b dn P_a]."""
+    """B(P_a, P_b) = sum over corners of [P_a dn P_b - P_b dn P_a].
+
+    The q2 term equals the q1 term: k=3 flips the sign of both factors and
+    the mixed k=3 pairs vanish, so q1 is read once and doubled.
+    """
     ja, ka = a
     jb, kb = b
     if {ka, kb} in ({1, 3}, {2, 3}):
         return ZERO  # symmetric vs anti-symmetric: corner terms cancel in pairs
-    total = ZERO
-    for v in (0, 1, 2):
-        total += (TABLE.value(ja, ka, v) * TABLE.normal(jb, kb, v)
-                  - TABLE.value(jb, kb, v) * TABLE.normal(ja, ka, v))
-    return total
+    value, normal = TABLE.value, TABLE.normal
+    return (value(ja, ka, 0) * normal(jb, kb, 0) - value(jb, kb, 0) * normal(ja, ka, 0)
+            + 2 * (value(ja, ka, 1) * normal(jb, kb, 1)
+                   - value(jb, kb, 1) * normal(ja, ka, 1)))
 
 
 def mono_inner_l2(a: Index, b: Index):
-    """Exact <P_a, P_b> in L2 of the self-similar measure (base point 0)."""
+    """Exact <P_a, P_b> in L2 of the self-similar measure (base point 0),
+    by the antidiagonal walk of the module docstring."""
     if a[0] < b[0]:
         a, b = b, a  # reduce along the smaller degree
-    key = (a, b)
-    cached = _l2_cache.get(key)
-    if cached is not None:
-        return cached
-    j, i = a
-    k, ip = b
-    total = ZERO
-    for s in range(1, k + 2):
-        total -= _boundary_bilinear((j + s, i), (k + 1 - s, ip))
-    _l2_cache[key] = total
-    return total
+    (j, i), (k, ip) = a, b
+    path = []
+    value = ZERO
+    while k >= 0:
+        cached = _l2_cache.get(((j, i), (k, ip)))
+        if cached is not None:
+            value = cached
+            break
+        path.append((j, k))
+        j, k = j + 1, k - 1
+    for j, k in reversed(path):
+        value = value - _boundary_bilinear((j + 1, i), (k, ip))
+        _l2_cache[((j, i), (k, ip))] = value
+    return value
 
 
 def _psd_3x3(m) -> bool:

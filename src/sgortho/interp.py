@@ -187,13 +187,20 @@ def quadrature_error_study(n: int, f: Poly, m_max: int):
     5^(n+1) for P_{n+1,1} (n >= 1; at n = 0 that error is 0 at every level)
     and exactly 5^(n+2)/2 for P_{n+1,3}; at n = 0 it is 25/2 for P_{1,2} as
     well, while P_{n+1,2} with n >= 1 has no constant ratio.
+
+    f is extended once, to the finest level the rule reaches at m_max; every
+    coarser grid is a prefix of that one.  There are no rows when m_max < n.
     """
+    if m_max < n:
+        return []
     rule = quadrature_weights(n)
     exact = f.integral()
+    values = multiharmonic_extend(f.dirichlet_data(),
+                                  m_max - n + node_depth(rule)).value_at
     rows = []
     prev_err = None
     for m in range(n, m_max + 1):
-        est = composite_quadrature(rule, m, f)
+        est = composite_quadrature(rule, m, values)
         err = abs(est - exact)
         row = {"m": m, "estimate": est, "exact": exact, "abs_error": err}
         if prev_err is not None and err != 0:

@@ -256,6 +256,18 @@ def test_usage_error_solve_level_below_level(capsys):
         assert "--solve-level 1 is below --level 3" in capsys.readouterr().err
 
 
+def test_usage_error_m_max_below_n(capsys):
+    # used to print a CSV header only and exit 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["quad", "--n", "2", "--study-degree", "3", "--m-max", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--m-max 1 is below --n 2" in captured.err
+    # without a study, --m-max is unused and the rule is exported
+    assert cli.main(["quad", "--n", "2", "--m-max", "1"]) == 0
+
+
 def test_sobolev_order_zero_is_valid(capsys):
     assert cli.main(["ops", "--family", "2", "--m", "0", "--degree", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["method"] == "legendre"

@@ -120,6 +120,30 @@ def test_sum_of_normals_vanishes_for_harmonics():
         assert sum(monomial_normal(0, k, v) for v in (0, 1, 2)) == 0
 
 
+def _per_term_sequences(n):
+    """Oracle: the recursions of the module docstring term by term in
+    Fraction arithmetic, one Fraction per product."""
+    a, b, e = [F(1), F(1, 6)], [F(-1, 2)], [F(0)]
+    for j in range(2, n + 1):
+        a.append(F(4, 5**j - 5) * sum((a[j - l] * a[l] for l in range(1, j)), F(0)))
+    for j in range(1, n + 1):
+        b.append(F(2, 15 * (5**j - 1)) * sum(
+            ((3 * 5**(j - l) - 5**(l + 1) + 6) * a[j - l] * b[l]
+             for l in range(j)), F(0)))
+    for j in range(1, n + 1):
+        e.append(F(5**j + 1, 2) * a[j] + 2 * sum((e[l] * b[j - l] for l in range(j)),
+                                                 F(0)))
+    return a, b, e
+
+
+def test_integer_sums_match_per_term_recursion():
+    a, b, e = _per_term_sequences(40)
+    table = CoeffTable()
+    assert [table.alpha(j) for j in range(41)] == a
+    assert [table.beta(j) for j in range(41)] == b
+    assert [table.eta(j) for j in range(41)] == e
+
+
 def test_concurrent_readers():
     import threading
 

@@ -7,7 +7,7 @@ import pytest
 from sgortho.coeffs import alpha, beta
 from sgortho.families import (associated_family, gram_schmidt, green_seq,
                               legendre, legendre_recurrence_coeffs,
-                              limit_family_sym, sobolev_four_term,
+                              limit_family_sym, sob_inner, sobolev_four_term,
                               sobolev_higher, sobolev_three_term,
                               sobolev_three_term_sym)
 from sgortho.inner import SobolevParams, mono_inner_l2, poly_inner
@@ -200,6 +200,35 @@ def test_norm_chain():
             else:
                 assert p2 < s2
             assert s2 < ss < cap
+
+
+@pytest.mark.parametrize("family,weights", [
+    *((k, (1,)) for k in (1, 2, 3)),
+    *((k, (1, chi)) for k in (1, 2, 3) for chi in (F(1), F(3, 8))),
+    *((k, (1, 1, 1)) for k in (2, 3)),
+])
+def test_norms_from_leading_monomial_match_full_products(family, weights):
+    # the builders take |s_n|^2 as <s_n, P_{n,k}>; check it against <s_n, s_n>
+    params = SobolevParams.of_weights(weights)
+    if params.order == 0:
+        built = legendre(family, 12)
+    elif params.order == 2:
+        built = sobolev_higher(params, family, 12)
+    elif family == 1:
+        built = sobolev_four_term(weights[1], 12)
+    else:
+        built = sobolev_three_term(family, weights[1], 12)
+    assert built.norms_sq == [sob_inner(params, s, s) for s in built.polys]
+    assert built.norms_sq == gram_schmidt(params, family, 12).norms_sq
+
+
+def test_gram_schmidt_leading_norms_with_energy_and_corner_terms():
+    ident = tuple(tuple(F(int(r == c)) for c in range(3)) for r in range(3))
+    params = SobolevParams(order=1, chi=(F(1), F(1, 2)),
+                           energy_weights=(F(2), F(1, 3)), boundary_matrices=(ident,))
+    for family in (1, 2, 3):
+        gs = gram_schmidt(params, family, 7)
+        assert gs.norms_sq == [sob_inner(params, s, s) for s in gs.polys]
 
 
 def test_sobolev_norm_lower_bound():

@@ -5,10 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from sgortho.coeffs import TABLE
 from sgortho.families import sobolev_three_term
-from sgortho.inner import (SobolevParams, energy_inner, extended_inner,
-                           gram_matrix, mono_inner, mono_inner_l2,
-                           poly_inner)
+from sgortho.inner import (SobolevParams, _l2_cache, energy_inner,
+                           extended_inner, gram_matrix, mono_inner,
+                           mono_inner_l2, poly_inner)
 from sgortho.linalg import bareiss_det
 from sgortho.poly import Poly
 from sgortho.rationals import ZERO
@@ -32,6 +33,33 @@ def test_symmetry_of_l2_product():
         a = (rng.randint(0, 5), rng.choice((1, 2, 3)))
         b = (rng.randint(0, 5), rng.choice((1, 2, 3)))
         assert mono_inner_l2(a, b) == mono_inner_l2(b, a)
+
+
+def _per_term_l2(a, b):
+    """Oracle: <P_a, P_b>_2 = -sum_{s=1}^{k+1} B(P_{j+s,i}, P_{k+1-s,i'}) with
+    j >= k, B summed over all three corners; no cache."""
+    if a[0] < b[0]:
+        a, b = b, a
+    (j, i), (k, ip) = a, b
+    total = F(0)
+    for s in range(1, k + 2):
+        f, g = (j + s, i), (k + 1 - s, ip)
+        total -= sum(TABLE.value(*f, v) * TABLE.normal(*g, v)
+                     - TABLE.value(*g, v) * TABLE.normal(*f, v) for v in (0, 1, 2))
+    return total
+
+
+def test_antidiagonal_walk_matches_per_term_sum():
+    saved = dict(_l2_cache)
+    _l2_cache.clear()
+    try:
+        indices = [(j, k) for j in range(15) for k in (1, 2, 3)]
+        for a in indices:
+            for b in indices:
+                assert mono_inner_l2(a, b) == _per_term_l2(a, b), (a, b)
+    finally:
+        _l2_cache.clear()
+        _l2_cache.update(saved)
 
 
 def test_cross_family_of_antisymmetric_is_zero():

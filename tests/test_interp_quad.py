@@ -158,6 +158,19 @@ def test_quadrature_error_ratios_are_exact():
     assert [r["ratio"] for r in rows if "ratio" in r] == [F(25, 2)] * 4
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_one_extension_study_matches_per_level_extensions(n):
+    # composite_quadrature on a Poly extends it afresh at every level
+    rule = quadrature_weights(n)
+    for k in (1, 2, 3):
+        f = Poly.monomial(n + 1, k)
+        rows = quadrature_error_study(n, f, n + 1)
+        assert [r["m"] for r in rows] == [n, n + 1]
+        assert [r["estimate"] for r in rows] == \
+            [composite_quadrature(rule, m, f) for m in (n, n + 1)]
+    assert quadrature_error_study(n + 1, Poly.monomial(1, 1), n) == []
+
+
 def test_node_depth_and_callable_integrand():
     rule = quadrature_weights(0)
     assert node_depth(rule) == 1
