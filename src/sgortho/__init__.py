@@ -16,8 +16,7 @@ from .families import (OPFamily, associated_family, gram_schmidt, green_seq,
                        sobolev_four_term, sobolev_higher, sobolev_three_term,
                        sobolev_three_term_sym)
 from .grid import (FieldOnGrid, LevelGrid, build_grid, count_sign_changes,
-                   harmonic_extend, multiharmonic_extend, restrict_edge,
-                   vertex_data)
+                   harmonic_extend, multiharmonic_extend, restrict_edge)
 from .addresses import VertexAddress, spine_address
 from .inner import (GramMatrix, SobolevParams, energy_inner, extended_inner,
                     gram_matrix, mono_inner, mono_inner_l2, poly_inner)

@@ -26,9 +26,9 @@ from .families import (associated_family, gram_schmidt, green_seq, legendre,
                        sobolev_four_term, sobolev_higher, sobolev_three_term)
 from .grid import count_sign_changes, restrict_edge
 from .inner import SobolevParams, mono_inner_l2, poly_inner
-from .interp import (degenerate_spine_nodes, interpolation_matrix,
-                     quadrature_error_study, quadrature_weights, spine_nodes,
-                     v1_nodes)
+from .interp import (degenerate_spine_nodes, eval_monomial_at,
+                     interpolation_matrix, quadrature_error_study,
+                     quadrature_weights, spine_nodes, v1_nodes)
 from .linalg import bareiss_det
 from .odes import chi_asymptotics, higher_ode_residual, ode_residual
 from .poly import Poly
@@ -262,9 +262,7 @@ def check_quadrature_exactness(nmax: int = 3) -> CheckResult:
         rule = quadrature_weights(n)
         for j in range(n + 1):
             for k in (1, 2, 3):
-                mono = Poly.monomial(j, k)
-                values = [mono.eval_spine(a.level, a.corner) if not a.is_boundary()
-                          else TABLE.value(j, k, a.corner) for a in rule.nodes.nodes]
+                values = [eval_monomial_at(j, k, a) for a in rule.nodes.nodes]
                 if rule.apply(values) != TABLE.integral(j, k):
                     return CheckResult("quadrature-exactness", False,
                                        f"residual at n={n}, P_({j},{k})")

@@ -53,9 +53,11 @@ class CoeffTable:
             a, b, e = self._alpha, self._beta, self._eta
             while len(a) <= n:
                 j = len(a)
+                # the alpha sum is symmetric in l and j - l: each pair once, doubled
                 num, den = _int_sum(
-                    (a[j - l].numerator * a[l].numerator,
-                     a[j - l].denominator * a[l].denominator) for l in range(1, j))
+                    ((2 - (2 * l == j)) * a[j - l].numerator * a[l].numerator,
+                     a[j - l].denominator * a[l].denominator)
+                    for l in range(1, j // 2 + 1))
                 a.append(Rat(4 * num, (5**j - 5) * den))
             while len(b) <= n:
                 j = len(b)

@@ -63,13 +63,6 @@ from .rationals import ZERO, rat_str
 L2 = SobolevParams.l2()
 
 
-def sob_inner(params: SobolevParams, f: Poly, g: Poly):
-    """Inner product selected by the params (plain S^m or extended form)."""
-    if params.has_extras():
-        return extended_inner(params, f, g)
-    return poly_inner(params, f, g)
-
-
 @dataclass
 class OPFamily:
     """A monic orthogonal family with its exact squared norms.
@@ -91,7 +84,7 @@ class OPFamily:
         """Exact pairwise orthogonality of the stored polynomials."""
         for i in range(len(self.polys)):
             for j in range(i):
-                if sob_inner(self.params, self.polys[i], self.polys[j]) != 0:
+                if extended_inner(self.params, self.polys[i], self.polys[j]) != 0:
                     return False
         return True
 
@@ -119,7 +112,7 @@ def _orthogonalize(params: SobolevParams, f: Poly, polys: list[Poly],
                    norms: list, window) -> tuple[Poly, list]:
     """f minus its projections onto polys[i] for i in window, and the
     projection coefficients <f, polys[i]> / norms[i] in window order."""
-    coefs = [sob_inner(params, f, polys[i]) / norms[i] for i in window]
+    coefs = [extended_inner(params, f, polys[i]) / norms[i] for i in window]
     out = f
     for i, c in zip(window, coefs):
         out = out - polys[i].scale(c)
@@ -130,7 +123,7 @@ def _leading_norm(params: SobolevParams, s: Poly, family: int):
     """<s, s> for a monic s orthogonal to every lower degree of its family,
     as <s, P_{deg s, family}>: s - P_{deg s, family} lies in the span of the
     lower degrees, so it contributes nothing."""
-    return sob_inner(params, s, Poly.monomial(s.degree, family))
+    return extended_inner(params, s, Poly.monomial(s.degree, family))
 
 
 _lock = threading.RLock()  # extension appends by index; builders nest
@@ -330,7 +323,7 @@ def sobolev_three_term_sym(chi, maxdeg: int) -> tuple[OPFamily, bool]:
         s_next, (a[n], b[n]) = _orthogonalize(params, fts[n + 1], polys, norms,
                                               (n, n - 1))
         polys.append(s_next)
-        norms.append(sob_inner(params, s_next, s_next))
+        norms.append(extended_inner(params, s_next, s_next))
     fam = OPFamily(family=1, params=params, polys=polys, norms_sq=norms,
                    method="three-term-sym", recurrence={"a": a, "b": b})
     reference = gram_schmidt(params, 1, maxdeg)
@@ -386,7 +379,7 @@ def associated_family(chi, family: int, maxdeg: int) -> OPFamily:
     u: dict[int, object] = {}
     if maxdeg >= 1:
         polys.append(fs[1])
-        norms.append(sob_inner(params, fs[1], fs[1]))
+        norms.append(extended_inner(params, fs[1], fs[1]))
     for n in range(2, maxdeg + 1):
         v, coefs = _orthogonalize(params, fs[n], polys, norms,
                                   (n - 1, n - 2) if n >= 3 else (n - 1,))
@@ -394,7 +387,7 @@ def associated_family(chi, family: int, maxdeg: int) -> OPFamily:
         if n >= 3:
             u[n] = -coefs[1]
         polys.append(v)
-        norms.append(sob_inner(params, v, v))
+        norms.append(extended_inner(params, v, v))
     for i in range(1, maxdeg + 1):
         for j in range(1, i):
             if poly_inner(params, polys[i], polys[j]) != 0:

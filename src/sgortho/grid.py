@@ -15,6 +15,19 @@ them under a lock; they are plain ints.  Vertex i of a level-m field is
 Addresses and planar coordinates are made only on demand: for a lookup
 (`FieldOnGrid.value_at`), a load callback (`LevelGrid.vertices`) or the
 rendering (`FieldOnGrid.csv_rows`, in address order).
+
+Exact polynomial values.  A polynomial u of degree J is fixed by its
+iterated Laplacian data Lap^t u (t <= J) at the three corners, and the
+exact midpoint rule (`midpoint_weights`) gives the data at each midpoint of
+a level-l cell from the data at its corners, with the pairs (w_s, v_s)
+scaled by 5^(-s l).  Integer form.  `multiharmonic_extend` keeps every
+vertex's data as ints over one running denominator D, starting from the
+corner data over their lcm.  At level l the scaled pairs are brought to one
+denominator d_l; the midpoints are computed from the unscaled corner ints,
+so they are over D d_l, and the prefix [0, n_l) is then multiplied by d_l
+and D by d_l.  Nothing is reduced until the level-m values become
+rationals, one reduction each.  Planar coordinates are dyadic ints; y
+carries a factor sqrt(3) and is rendered, correctly rounded, by `isqrt`.
 """
 
 from __future__ import annotations
@@ -22,13 +35,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import product
+from math import isqrt
 
 from .addresses import VertexAddress
 from .errors import ConsistencyError
 from .poly import Poly
-from .rationals import ZERO, Rat, rat_decimal
-
-_SQRT3 = Rat(1732050807568877293527446341505872366943, 10**39)  # sqrt(3) to 39 digits
+from .rationals import ZERO, Rat, over_common_denominator, rat_decimal
 
 
 def cell_words(m: int):
@@ -123,9 +135,12 @@ def _address_order(m: int) -> list[tuple[int, str]]:
 class FieldOnGrid:
     """Exact rational values attached to every vertex of a level grid.
 
-    Either the exact values of a polynomial (`multiharmonic_extend`) or the
-    exact solution of a collocation problem (the solver), whose only error is
-    the discretization of the continuous operator, never roundoff.
+    Either the exact values of a polynomial (`multiharmonic_extend`, the
+    integer form of the midpoint rule) or the exact solution of a collocation
+    problem (the solver), whose only error is the discretization of the
+    continuous operator, never roundoff.  `values[i]` belongs to vertex i of
+    the module's numbering; a single vertex is read by address with
+    `value_at`.
     """
 
     grid: LevelGrid
@@ -166,9 +181,13 @@ class FieldOnGrid:
         m = self.grid.m
         xs, rs = _coordinates(m)
         den = 2 ** (m + 1)
+        scale = 10**digits
         for i, addr in _address_order(m):
+            # y = r sqrt(3) / den, rounded to nearest (never a tie): 2 y scale
+            # is sqrt(12 r^2 scale^2) / den, floored exactly by isqrt
+            y = (isqrt(12 * (rs[i] * scale) ** 2) // den + 1) // 2
             yield (addr, rat_decimal(Rat(xs[i], den), digits),
-                   rat_decimal(Rat(rs[i], den) * _SQRT3, digits),
+                   rat_decimal(Rat(y, scale), digits),
                    rat_decimal(self.values[i], digits))
 
 
@@ -206,49 +225,28 @@ def midpoint_weights(s: int) -> tuple:
         return _weights[s]
 
 
-def _cell_weights(level: int, degree: int) -> list:
-    """(w_s, v_s) / 5^(s*level): the rule inside a level-`level` cell."""
-    return [tuple(x / 5 ** (s * level) for x in midpoint_weights(s))
-            for s in range(degree + 1)]
-
-
-def _midpoint(a, b, c, weights) -> tuple:
-    """Iterated Laplacian data at the midpoint of corners a, b (c opposite)."""
-    ab = [x + y for x, y in zip(a, b)]
-    return tuple(sum(w * x + v * y for (w, v), x, y in zip(weights, ab[t:], c[t:]))
-                 for t in range(len(a)))
-
-
-def _split(corners, weights) -> tuple:
-    """Corner data of the three subcells of a cell with corner data `corners`."""
-    a0, a1, a2 = corners
-    m01 = _midpoint(a0, a1, a2, weights)
-    m02 = _midpoint(a0, a2, a1, weights)
-    m12 = _midpoint(a1, a2, a0, weights)
-    return (a0, m01, m02), (m01, a1, m12), (m02, m12, a2)
-
-
-def vertex_data(data, addr: VertexAddress) -> tuple:
-    """Exact iterated Laplacian data at one vertex, from the corner data
-    `data` = (L_q0, L_q1, L_q2), by descending the cells of its word."""
-    corners = data
-    for level, letter in enumerate(addr.word):
-        corners = _split(corners, _cell_weights(level, len(corners[0]) - 1))[letter]
-    return corners[addr.corner]
-
-
 def multiharmonic_extend(data, m: int) -> FieldOnGrid:
     """Exact values on the level-m grid of the polynomial with corner data
     `data` = (L_q0, L_q1, L_q2), each L listing Lap^s u(q) for s <= degree."""
     degree = len(data[0]) - 1
-    laps = list(data)  # laps[i]: the iterated Laplacian data at vertex i
+    den, ints = over_common_denominator(x for lap in data for x in lap)
+    # laps[i][t] / den is Lap^t u at vertex i
+    laps = [ints[i:i + degree + 1] for i in range(0, len(ints), degree + 1)]
     for level in range(m):
-        weights = _cell_weights(level, degree)
+        d, rule = over_common_denominator(x / 5 ** (s * level) for s in range(degree + 1)
+                                          for x in midpoint_weights(s))
+        ws, vs = rule[0::2], rule[1::2]
         for a0, a1, a2 in _corner_table(level):
             x0, x1, x2 = laps[a0], laps[a1], laps[a2]
-            laps += (_midpoint(x0, x1, x2, weights), _midpoint(x0, x2, x1, weights),
-                     _midpoint(x1, x2, x0, weights))
-    return FieldOnGrid(build_grid(m), [x[0] for x in laps])
+            for a, b, c in ((x0, x1, x2), (x0, x2, x1), (x1, x2, x0)):
+                ab = [x + y for x, y in zip(a, b)]
+                laps.append([sum(w * x + v * y
+                                 for w, v, x, y in zip(ws, vs, ab[t:], c[t:]))
+                             for t in range(degree + 1)])
+        n = _vertex_count(level)
+        laps[:n] = [[d * x for x in lap] for lap in laps[:n]]
+        den *= d
+    return FieldOnGrid(build_grid(m), [Rat(lap[0], den) for lap in laps])
 
 
 def harmonic_extend(boundary, m: int) -> FieldOnGrid:

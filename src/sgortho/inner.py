@@ -165,9 +165,6 @@ class SobolevParams:
         chis = tuple(Rat(c) for c in chis)
         return SobolevParams(order=len(chis) - 1, chi=chis)
 
-    def has_extras(self) -> bool:
-        return bool(self.energy_weights) or bool(self.boundary_matrices)
-
     def to_json_dict(self) -> dict:
         out = {"m": self.order, "chi": [rat_str(c) for c in self.chi]}
         if self.energy_weights is not None:
@@ -227,10 +224,6 @@ def poly_inner(params: SobolevParams, f: Poly, g: Poly):
             acc += x * sum(y * l for (_, y), l in zip(g_r, l2[i * n:(i + 1) * n]))
         total += chi * Rat(acc, den_l)
     return factor * total / (den_f * den_g)
-
-
-def norm_sq(params: SobolevParams, f: Poly):
-    return poly_inner(params, f, f)
 
 
 def energy_inner(f: Poly, g: Poly):

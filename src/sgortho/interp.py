@@ -8,15 +8,18 @@ invertible.  The spine node family
 
 does so whenever no beta_j vanishes (asserted for j <= 50): the scaling laws
 turn each family block into a scaled Vandermonde matrix in powers of 1/5.
-Every entry is exact (closed forms on the spine, the exact midpoint rule of
-the grid layer elsewhere), so determinants and quadrature weights are exact.
+Every entry is exact (closed forms on the spine and at the corners, elsewhere
+a value of the integer extension `grid.multiharmonic_extend`), so
+determinants and quadrature weights are exact.
 
 The order-n quadrature rule solves the moment system M^T w = integrals and is
 exact on all polynomials of degree <= n; the composite rule applies it to
 every (m-n)-cell with the measure factor 3^{-(m-n)}, which makes constants
-integrate to 1 exactly (partition of unity).  Weights may be negative and the
-rules are known to be unstable for large n on non-polynomial data; condition
-numbers are reported but never alter any result.
+integrate to 1 exactly (partition of unity).  It reads the integrand through
+a callable, in practice the `value_at` of one extension of the polynomial.
+Weights may be negative and the rules are known to be unstable for large n on
+non-polynomial data; condition numbers are reported but never alter any
+result.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from .addresses import VertexAddress, mapped, spine_address
 from .coeffs import TABLE
 from .errors import ConsistencyError
-from .grid import cell_words, multiharmonic_extend, vertex_data
+from .grid import cell_words, multiharmonic_extend
 from .inner import basis_indices
 from .linalg import bareiss_det, inf_norm, inverse_exact, solve_exact
 from .poly import Poly
@@ -67,14 +70,14 @@ def v1_nodes() -> NodeSet:
 
 def eval_monomial_at(j: int, k: int, addr: VertexAddress):
     """Exact value of P_{j,k} at a vertex: closed forms on the spine and at
-    the corners, the exact midpoint rule of the grid layer elsewhere."""
+    the corners, elsewhere the exact extension to the vertex's level."""
     depth = addr.spine_depth()
     mono = Poly.monomial(j, k)
     if depth is not None:
         return mono.eval_spine(depth, addr.corner)
     if addr.is_boundary():
         return TABLE.value(j, k, addr.corner)
-    return vertex_data(mono.dirichlet_data(), addr)[0]
+    return multiharmonic_extend(mono.dirichlet_data(), addr.level).value_at(addr)
 
 
 @dataclass
@@ -158,24 +161,18 @@ def node_depth(rule: QuadratureRule) -> int:
 def composite_quadrature(rule: QuadratureRule, m: int, f):
     """Composite rule sum over all (m-n)-cells with measure factor 3^{-(m-n)}.
 
-    `f` may be a Poly (evaluated exactly on a covering grid by the midpoint
-    rule) or a callable address -> value.  Cells are reduced in lexicographic
-    order, so the result is reproducible bit for bit.
+    `f` is a callable address -> value, such as the `value_at` of a field
+    whose level is at least m - n + node_depth(rule).  Cells are reduced in
+    lexicographic order, so the result is reproducible bit for bit.
     """
     if m < rule.n:
         raise ValueError("composite level must be >= rule order")
     depth = m - rule.n
-    if isinstance(f, Poly):
-        evaluate = multiharmonic_extend(f.dirichlet_data(),
-                                        depth + node_depth(rule)).value_at
-    else:
-        evaluate = f
     factor = Rat(1, 3**depth)
     total = ZERO
     for word in cell_words(depth):
-        cell_sum = sum((w * evaluate(mapped(word, a))
-                        for w, a in zip(rule.weights, rule.nodes.nodes)), ZERO)
-        total += cell_sum
+        total += sum((w * f(mapped(word, a))
+                      for w, a in zip(rule.weights, rule.nodes.nodes)), ZERO)
     return factor * total
 
 

@@ -1,11 +1,9 @@
 """Exact rational scalars and deterministic rendering helpers.
 
-Every quantity in this package is an exact rational; floating point never
-enters any computation. `gmpy2.mpq` is used when available (faster on the
-rational arithmetic of family construction; the grid solves run on Python
-ints either way), with `fractions.Fraction` as a pure-stdlib fallback.
-Both store values in lowest terms with a positive denominator and hash/compare
-identically, so the choice never changes any result.
+Every quantity in this package is an exact rational, a stdlib
+`fractions.Fraction` (stored in lowest terms with a positive denominator);
+floating point never enters any computation.  The grid kernels run on plain
+Python ints and make rationals only of their results.
 """
 
 from __future__ import annotations
@@ -13,20 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-try:
-    from gmpy2 import mpq as _mpq
+Rat = Fraction
 
-    def Rat(*args) -> object:
-        if len(args) == 1 and isinstance(args[0], str):
-            return _mpq(args[0])
-        return _mpq(*args)
-
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover
-    def Rat(*args) -> object:
-        return Fraction(*args)
-
-    HAVE_GMPY2 = False
+# Fraction is the only backend; the benchmark harness reads this flag to name it.
+HAVE_GMPY2 = False
 
 ZERO = Rat(0)
 ONE = Rat(1)
@@ -41,8 +29,8 @@ def over_common_denominator(values) -> tuple[int, list[int]]:
     """(den, ints) with den the lcm of the denominators of `values` and
     ints[i] = values[i] * den, so values[i] == Rat(ints[i], den)."""
     values = list(values)
-    den = lcm(*(int(x.denominator) for x in values))
-    return den, [int(x.numerator) * (den // int(x.denominator)) for x in values]
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 # Digits per chunk in _int_str: below CPython's smallest allowed limit on
@@ -65,7 +53,7 @@ def _int_str(n) -> str:
 
 
 def rat_str(value) -> str:
-    """Canonical 'p/q' (or 'p' when integral) rendering, identical across backends."""
+    """Canonical 'p/q' (or 'p' when integral) rendering."""
     n, d = _int_str(value.numerator), _int_str(value.denominator)
     return n if d == "1" else f"{n}/{d}"
 
@@ -73,8 +61,8 @@ def rat_str(value) -> str:
 def rat_decimal(value, digits: int = 12) -> str:
     """Round-half-even decimal rendering with exactly `digits` fractional digits.
 
-    Pure integer arithmetic, so the output is byte-identical across runs and
-    rational backends.  Rendering is the only lossy step anywhere.
+    Pure integer arithmetic, so the output is byte-identical across runs.
+    Rendering is the only lossy step anywhere.
     """
     n, d = value.numerator, value.denominator
     sign = "-" if n < 0 else ""

@@ -72,8 +72,8 @@ def _solve(level: int, boundary, loads: list[int], load_den: int):
     level_loads.reverse()  # level_loads[l] is over load_den * 3^(level - l)
 
     boundary = [Rat(v) for v in boundary]
-    den = lcm(load_den * 3**level, *(int(v.denominator) for v in boundary))
-    values = [int(v.numerator) * (den // int(v.denominator)) for v in boundary]
+    den = lcm(load_den * 3**level, *(v.denominator for v in boundary))
+    values = [v.numerator * (den // v.denominator) for v in boundary]
     values += [0] * (counts[level] - 3)
     for l in range(1, level + 1):
         scale = den // (load_den * 3**(level - l))

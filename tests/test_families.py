@@ -7,10 +7,11 @@ import pytest
 from sgortho.coeffs import alpha, beta
 from sgortho.families import (associated_family, gram_schmidt, green_seq,
                               legendre, legendre_recurrence_coeffs,
-                              limit_family_sym, sob_inner, sobolev_four_term,
+                              limit_family_sym, sobolev_four_term,
                               sobolev_higher, sobolev_three_term,
                               sobolev_three_term_sym)
-from sgortho.inner import SobolevParams, mono_inner_l2, poly_inner
+from sgortho.inner import (SobolevParams, extended_inner, mono_inner_l2,
+                           poly_inner)
 from sgortho.poly import Poly
 
 L2 = SobolevParams.l2()
@@ -218,7 +219,7 @@ def test_norms_from_leading_monomial_match_full_products(family, weights):
         built = sobolev_four_term(weights[1], 12)
     else:
         built = sobolev_three_term(family, weights[1], 12)
-    assert built.norms_sq == [sob_inner(params, s, s) for s in built.polys]
+    assert built.norms_sq == [extended_inner(params, s, s) for s in built.polys]
     assert built.norms_sq == gram_schmidt(params, family, 12).norms_sq
 
 
@@ -228,7 +229,7 @@ def test_gram_schmidt_leading_norms_with_energy_and_corner_terms():
                            energy_weights=(F(2), F(1, 3)), boundary_matrices=(ident,))
     for family in (1, 2, 3):
         gs = gram_schmidt(params, family, 7)
-        assert gs.norms_sq == [sob_inner(params, s, s) for s in gs.polys]
+        assert gs.norms_sq == [extended_inner(params, s, s) for s in gs.polys]
 
 
 def test_sobolev_norm_lower_bound():

@@ -1,7 +1,9 @@
 """Vertex addressing, level grids, the exact midpoint rule, the collocation solver."""
 
 import random
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
@@ -9,10 +11,10 @@ from sgortho.addresses import VertexAddress, mapped, spine_address
 from sgortho.coeffs import TABLE
 from sgortho.errors import ConsistencyError
 from sgortho.families import legendre
-from sgortho.grid import (EDGE_LETTERS, _SQRT3, _corner_table, _vertex_count,
+from sgortho.grid import (EDGE_LETTERS, _corner_table, _vertex_count,
                           build_grid, cell_words, count_sign_changes,
                           harmonic_extend, midpoint_weights,
-                          multiharmonic_extend, restrict_edge, vertex_data)
+                          multiharmonic_extend, restrict_edge)
 from sgortho.poly import Poly
 from sgortho.rationals import rat_decimal
 from sgortho.solver import (dirichlet_solve, eval_poly_grid,
@@ -30,6 +32,43 @@ def _point(addr):
         cx, cr = CORNER_XY[letter]
         x, r = (x + cx) / 2, (r + cr) / 2
     return x, r
+
+
+def _y_decimal(r, digits):
+    """r*sqrt(3) rounded half-even to `digits` places, by the decimal module
+    at twice the needed precision: the oracle for the y column of `csv_rows`."""
+    with localcontext() as ctx:
+        ctx.prec = 2 * digits + 20
+        y = Decimal(r.numerator) / Decimal(r.denominator) * Decimal(3).sqrt()
+        y = y.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_EVEN)
+        return format(y, "f")
+
+
+def _descent(data, addr):
+    """Iterated Laplacian data at one vertex, by descending the cells of its
+    word in Fraction arithmetic: the oracle for the integer kernel behind
+    `multiharmonic_extend` (shared code: `midpoint_weights` only)."""
+    corners = tuple(tuple(F(x) for x in lap) for lap in data)
+    for level, letter in enumerate(addr.word):
+        corners = _subcells(corners, level)[letter]
+    return corners[addr.corner]
+
+
+@lru_cache(maxsize=None)
+def _subcells(corners, level):
+    """Corner data of the three subcells of a level-`level` cell."""
+    size = len(corners[0])
+    rule = [tuple(x / 5 ** (s * level) for x in midpoint_weights(s))
+            for s in range(size)]
+
+    def mid(a, b, c):
+        return tuple(sum(w * (a[t + s] + b[t + s]) + v * c[t + s]
+                         for s, (w, v) in enumerate(rule[:size - t]))
+                     for t in range(size))
+
+    a0, a1, a2 = corners
+    m01, m02, m12 = mid(a0, a1, a2), mid(a0, a2, a1), mid(a1, a2, a0)
+    return (a0, m01, m02), (m01, a1, m12), (m02, m12, a2)
 
 
 def _neighbours(m):
@@ -81,8 +120,8 @@ def test_grid_sizes(m):
 @pytest.mark.parametrize("m", range(6))
 def test_grid_vertex_order_is_the_address_order(m):
     # every vertex is numbered once, and the CSV rows equal the oracle
-    # rendering: sorted canonical addresses, points by Fraction halvings and
-    # values by descending the cells of each address
+    # rendering: sorted canonical addresses, points by Fraction halvings, y
+    # by the decimal module and values by descending the cells of each address
     addresses = sorted({VertexAddress.make(w, c)
                         for w in cell_words(m) for c in (0, 1, 2)})
     assert sorted(build_grid(m).vertices) == addresses
@@ -90,8 +129,8 @@ def test_grid_vertex_order_is_the_address_order(m):
     expected = []
     for v in addresses:
         x, r = _point(v)
-        expected.append((str(v), rat_decimal(x, 12), rat_decimal(r * _SQRT3, 12),
-                         rat_decimal(vertex_data(data, v)[0], 12)))
+        expected.append((str(v), rat_decimal(x, 12), _y_decimal(r, 12),
+                         rat_decimal(_descent(data, v)[0], 12)))
     assert list(multiharmonic_extend(data, m).csv_rows(12)) == expected
 
 
@@ -394,10 +433,23 @@ def test_field_restrict_and_csv():
     assert all(len(r) == 4 for r in rows)
 
 
+def test_csv_y_is_correctly_rounded_beyond_39_digits():
+    # y = r sqrt(3) has no finite expansion; every digit requested is exact
+    rows = list(harmonic_extend([F(1), F(0), F(0)], 0).csv_rows(50))
+    assert rows[0][2] == "0.86602540378443864676372317075293618347140262690519"
+    for m in (1, 3):
+        for digits in (0, 12, 40, 75):
+            for (addr, _x, y, _v), v in zip(multiharmonic_extend(
+                    [(F(1),), (F(0),), (F(0),)], m).csv_rows(digits),
+                    sorted(build_grid(m).vertices)):
+                assert addr == str(v)
+                assert y == _y_decimal(_point(v)[1], digits), (addr, digits)
+
+
 def test_value_at_rejects_a_finer_address():
     field = harmonic_extend([F(1), F(2), F(3)], 2)
     addr = VertexAddress.make((1, 2), 0)
-    assert field.value_at(addr) == vertex_data([(F(1),), (F(2),), (F(3),)], addr)[0]
+    assert field.value_at(addr) == _descent([(F(1),), (F(2),), (F(3),)], addr)[0]
     with pytest.raises(ValueError, match="level 3.*level-2"):
         field.value_at(VertexAddress.make((0, 1, 2), 1))
     with pytest.raises(ValueError, match="not canonical"):
@@ -435,11 +487,11 @@ def test_midpoint_rule_matches_spine_closed_forms(j):
     # only depth 1 went into the fit; deeper spine points are an independent check
     for k in (1, 2, 3):
         mono = Poly.monomial(j, k)
-        data = mono.dirichlet_data()
+        field = multiharmonic_extend(mono.dirichlet_data(), 6)
         for depth in range(2, 7):
             for target in (1, 2):
-                addr = spine_address(depth, target)
-                assert vertex_data(data, addr)[0] == mono.eval_spine(depth, target)
+                assert field.value_at(spine_address(depth, target)) == \
+                    mono.eval_spine(depth, target)
 
 
 def test_collocation_converges_to_the_rule_by_five_per_level():
@@ -447,7 +499,7 @@ def test_collocation_converges_to_the_rule_by_five_per_level():
     assert addr.spine_depth() is None
     for j, k in ((2, 1), (2, 3)):
         mono = Poly.monomial(j, k)
-        exact = vertex_data(mono.dirichlet_data(), addr)[0]
+        exact = multiharmonic_extend(mono.dirichlet_data(), 2).value_at(addr)
         errs = [eval_poly_grid(mono, 2, lvl).value_at(addr) - exact
                 for lvl in (4, 5, 6)]
         assert errs[0] != 0
@@ -455,13 +507,18 @@ def test_collocation_converges_to_the_rule_by_five_per_level():
 
 
 def test_multiharmonic_extend_agrees_with_vertex_descent():
-    p = Poly({(3, 1): F(2), (2, 2): F(-1), (3, 3): F(1, 2), (0, 1): F(5)})
-    data = p.dirichlet_data()
-    field = multiharmonic_extend(data, 3)
-    for v in field.grid.vertices:
-        assert field.value_at(v) == vertex_data(data, v)[0]
-    # restriction to a coarser grid is the coarser extension
-    assert field.restrict(2).values == multiharmonic_extend(data, 2).values
+    mixed = Poly({(6, 1): F(2, 7), (3, 1): F(2), (5, 2): F(-3, 4), (2, 2): F(-1),
+                  (6, 3): F(1, 2), (1, 3): F(9), (0, 1): F(5)})
+    polys = [mixed] + [Poly.monomial(j, k) for j in range(7) for k in (1, 2, 3)]
+    for p in polys:
+        data = p.dirichlet_data()
+        expected = [_descent(data, v)[0] for v in build_grid(4).vertices]
+        for m in range(5):
+            field = multiharmonic_extend(data, m)
+            assert field.values == expected[:_vertex_count(m)]
+            assert all(type(v) is F for v in field.values)
+        # restriction to a coarser grid is the coarser extension
+        assert field.restrict(2).values == multiharmonic_extend(data, 2).values
 
 
 @pytest.mark.xfail(strict=True, reason="the default collocation (solve level "

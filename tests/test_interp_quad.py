@@ -6,6 +6,7 @@ import pytest
 
 from sgortho.addresses import VertexAddress, spine_address
 from sgortho.coeffs import TABLE, gamma
+from sgortho.grid import multiharmonic_extend
 from sgortho.interp import (NodeSet, composite_quadrature,
                             degenerate_spine_nodes, eval_monomial_at,
                             interpolation_matrix, condition_inf, node_depth,
@@ -116,14 +117,21 @@ def test_order0_rule_gives_corner_mean_on_harmonics():
         assert rule.apply(node_vals) == (b0 + b1 + b2) / 3
 
 
+def _values(rule, m, f):
+    """The integrand of the level-m composite rule: f extended afresh to the
+    finest level the rule reaches."""
+    level = m - rule.n + node_depth(rule)
+    return multiharmonic_extend(f.dirichlet_data(), level).value_at
+
+
 def test_composite_base_case_and_partition_of_unity():
     one = Poly.monomial(0, 1)
     for n in (0, 1):
         rule = quadrature_weights(n)
-        base = composite_quadrature(rule, n, one)
+        base = composite_quadrature(rule, n, _values(rule, n, one))
         assert base == 1
         for m in (n + 1, n + 2):
-            assert composite_quadrature(rule, m, one) == 1
+            assert composite_quadrature(rule, m, _values(rule, m, one)) == 1
 
 
 def test_composite_exact_for_polynomials_of_rule_degree():
@@ -133,7 +141,7 @@ def test_composite_exact_for_polynomials_of_rule_degree():
     f = Poly({(1, 1): F(1), (0, 2): F(3), (1, 3): F(-2)})
     exact = f.integral()
     for m in (1, 2, 3):
-        assert composite_quadrature(rule, m, f) == exact
+        assert composite_quadrature(rule, m, _values(rule, m, f)) == exact
 
 
 def test_quadrature_error_study_orders():
@@ -160,14 +168,14 @@ def test_quadrature_error_ratios_are_exact():
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_one_extension_study_matches_per_level_extensions(n):
-    # composite_quadrature on a Poly extends it afresh at every level
+    # the study extends once; here f is extended afresh at every level
     rule = quadrature_weights(n)
     for k in (1, 2, 3):
         f = Poly.monomial(n + 1, k)
         rows = quadrature_error_study(n, f, n + 1)
         assert [r["m"] for r in rows] == [n, n + 1]
         assert [r["estimate"] for r in rows] == \
-            [composite_quadrature(rule, m, f) for m in (n, n + 1)]
+            [composite_quadrature(rule, m, _values(rule, m, f)) for m in (n, n + 1)]
     assert quadrature_error_study(n + 1, Poly.monomial(1, 1), n) == []
 
 

@@ -1,7 +1,5 @@
-"""Rational facade: parsing, deterministic decimal rendering, backend parity."""
+"""Rational facade: parsing and deterministic decimal rendering."""
 
-import subprocess
-import sys
 from fractions import Fraction as F
 
 import pytest
@@ -34,23 +32,3 @@ def test_decimal_rendering():
     assert rat_decimal(Rat(1, 8), 2) == "0.12"
     assert rat_decimal(Rat(3, 8), 2) == "0.38"
     assert rat_decimal(Rat(5), 3) == "5.000"
-
-
-def test_fraction_fallback_gives_identical_results():
-    # run a computation with gmpy2 blocked; values and renderings must match
-    script = (
-        "import sys; sys.modules['gmpy2'] = None\n"
-        "from sgortho.rationals import HAVE_GMPY2, rat_str, rat_decimal\n"
-        "assert not HAVE_GMPY2\n"
-        "from sgortho.families import sobolev_three_term\n"
-        "fam = sobolev_three_term(3, 1, 4)\n"
-        "print(rat_str(fam.norms_sq[4]))\n"
-        "print(rat_decimal(fam.polys[4][(0, 3)], 12))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    from sgortho.families import sobolev_three_term
-    fam = sobolev_three_term(3, 1, 4)
-    expected = f"{rat_str(fam.norms_sq[4])}\n{rat_decimal(fam.polys[4][(0, 3)], 12)}\n"
-    assert proc.stdout == expected
