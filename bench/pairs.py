@@ -53,7 +53,8 @@ def digest_commands() -> list[str]:
     request, the degree-16 recurrence builds, Gram-Schmidt at orders 0-2,
     the full verify, the coefficient table, a mixed Gram matrix, and the
     exact-rule requests the seed-0 requests miss (an off-spine interpolation
-    node, quadrature studies of every family)."""
+    node, quadrature studies of every family) and the exact solves they miss
+    (a large interpolation matrix, a singular one, an order-4 rule)."""
     out = [req.key for w in WORKLOADS for req in workloads.requests(w, 0)]
     out += [f"ops --family {k} --degree 16" for k in (1, 2, 3)]
     out += [f"ops --family {k} --m {m} --degree 12 --method gram-schmidt"
@@ -61,7 +62,9 @@ def digest_commands() -> list[str]:
     out += ["verify", "coeffs --max-j 60", "gram --family mixed --maxdeg 10"]
     out += ["interp --nodes v1 --n 1 --matrix",
             "quad --n 0 --study-degree 1 --study-family 2 --m-max 5",
-            "quad --n 2 --study-degree 3 --study-family 3 --m-max 4"]
+            "quad --n 2 --study-degree 3 --study-family 3 --m-max 4",
+            "interp --nodes spine --n 5 --matrix",
+            "interp --nodes degenerate --n 1", "quad --n 4"]
     return list(dict.fromkeys(out))
 
 

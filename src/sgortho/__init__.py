@@ -8,8 +8,7 @@ Every internal quantity is an exact rational.
 """
 
 from .coeffs import (CoeffTable, TABLE, alpha, alpha_prime, beta, eta, gamma,
-                     monomial_boundary, monomial_integral, monomial_normal,
-                     monomial_value)
+                     monomial_integral, monomial_normal, monomial_value)
 from .errors import ConsistencyError, MathematicalAssumptionError
 from .families import (OPFamily, associated_family, gram_schmidt, green_seq,
                        legendre, legendre_recurrence_coeffs, limit_family_sym,

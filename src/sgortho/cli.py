@@ -91,9 +91,11 @@ def _json(payload) -> str:
 
 def _params_from_args(args) -> SobolevParams:
     order = getattr(args, "m", 1)
-    if order == 0:
-        return SobolevParams.l2()
     chis = getattr(args, "chi", None)
+    if order == 0:
+        if chis is not None:
+            raise UsageError("--chi needs --m >= 1; --m 0 is plain L2")
+        return SobolevParams.l2()
     if chis is None:
         chis = (Rat(1),) * order
     if len(chis) == 1 and order > 1:

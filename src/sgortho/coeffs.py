@@ -111,7 +111,7 @@ class CoeffTable:
 
     def value(self, j: int, k: int, vertex: int):
         """P_{j,k}(q_vertex), exactly."""
-        _check_jk(j, k)
+        _check_jk(j, k, vertex)
         if vertex == Q0:
             return Rat(1) if (j == 0 and k == 1) else ZERO
         if k == 1:
@@ -123,7 +123,7 @@ class CoeffTable:
 
     def normal(self, j: int, k: int, vertex: int):
         """Normal derivative of P_{j,k} at q_vertex, exactly."""
-        _check_jk(j, k)
+        _check_jk(j, k, vertex)
         if vertex == Q0:
             return Rat(1) if (j == 0 and k == 2) else ZERO
         if k == 1:
@@ -132,22 +132,6 @@ class CoeffTable:
             return -self.alpha_prime(j)
         t = 3 * self.eta(j + 1)
         return t if vertex == Q1 else -t
-
-    def boundary(self, j: int, k: int, vertex: int, kind: str):
-        """Boundary value or normal derivative of P_{j,k} at a corner.
-
-        Tangential derivatives at q1/q2 are not part of the table (no exact
-        closed form is available for them) and are rejected.
-        """
-        if vertex not in (Q0, Q1, Q2):
-            raise ValueError(f"vertex must be 0, 1 or 2, got {vertex!r}")
-        if kind == "value":
-            return self.value(j, k, vertex)
-        if kind == "normal":
-            return self.normal(j, k, vertex)
-        if kind == "tangential":
-            raise ValueError("tangential derivatives at q1/q2 are not available exactly")
-        raise ValueError(f"unknown kind {kind!r}")
 
     def integral(self, j: int, k: int):
         """Integral of P_{j,k} against the self-similar probability measure."""
@@ -167,11 +151,13 @@ def _int_sum(terms) -> tuple[int, int]:
     return sum(n * (den // d) for n, d in terms), den
 
 
-def _check_jk(j: int, k: int) -> None:
+def _check_jk(j: int, k: int, vertex: int = Q0) -> None:
     if j < 0:
         raise ValueError(f"degree must be >= 0, got {j}")
     if k not in FAMILIES:
         raise ValueError(f"family must be 1, 2 or 3, got {k}")
+    if vertex not in (Q0, Q1, Q2):
+        raise ValueError(f"vertex must be 0, 1 or 2, got {vertex!r}")
 
 
 #: Shared default table; all module-level helpers delegate here.
@@ -184,5 +170,4 @@ eta = TABLE.eta
 alpha_prime = TABLE.alpha_prime
 monomial_value = TABLE.value
 monomial_normal = TABLE.normal
-monomial_boundary = TABLE.boundary
 monomial_integral = TABLE.integral

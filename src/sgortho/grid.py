@@ -39,6 +39,7 @@ from math import isqrt
 
 from .addresses import VertexAddress
 from .errors import ConsistencyError
+from .linalg import solve_exact
 from .poly import Poly
 from .rationals import ZERO, Rat, over_common_denominator, rat_decimal
 
@@ -217,8 +218,7 @@ def midpoint_weights(s: int) -> tuple:
                              for i, (w, v) in enumerate(_weights)), ZERO)
                 rows.append((a[t] + b[t], c[t], mono.eval_spine(1, 1) - lower))
             (x1, y1, r1), (x2, y2, r2), (x3, y3, r3) = rows
-            det = x2 * y3 - x3 * y2
-            w, v = (r2 * y3 - r3 * y2) / det, (x2 * r3 - x3 * r2) / det
+            w, v = solve_exact([[x2, y2], [x3, y3]], [r2, r3])
             if w * x1 + v * y1 != r1:
                 raise ConsistencyError(f"midpoint rule of order {t} misses P_({t},1)")
             _weights.append((w, v))

@@ -281,19 +281,10 @@ class GramMatrix:
         }
 
 
-_gram_cache: dict[tuple, GramMatrix] = {}
-
-
 def gram_matrix(params: SobolevParams, family, maxdeg: int) -> GramMatrix:
-    """Dense matrix of mono_inner values over the fixed basis order (cached)."""
+    """Dense matrix of mono_inner values over the fixed basis order."""
     if maxdeg < 0:
         raise ValueError("maxdeg must be >= 0")
-    key = (params, family, maxdeg)
-    cached = _gram_cache.get(key)
-    if cached is not None:
-        return cached
     basis = basis_indices(family, maxdeg)
     entries = tuple(tuple(mono_inner(params, a, b) for b in basis) for a in basis)
-    out = GramMatrix(params=params, basis=tuple(basis), entries=entries)
-    _gram_cache[key] = out
-    return out
+    return GramMatrix(params=params, basis=tuple(basis), entries=entries)

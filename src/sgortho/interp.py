@@ -31,7 +31,7 @@ from .coeffs import TABLE
 from .errors import ConsistencyError
 from .grid import cell_words, multiharmonic_extend
 from .inner import basis_indices
-from .linalg import bareiss_det, inf_norm, inverse_exact, solve_exact
+from .linalg import inf_norm, inverse_exact, solve_exact
 from .poly import Poly
 from .rationals import Rat, ZERO, rat_str
 
@@ -139,13 +139,12 @@ def quadrature_weights(n: int) -> QuadratureRule:
     """
     nodes = spine_nodes(n)
     matrix = interpolation_matrix(nodes, n)
-    if bareiss_det(matrix.entries) == 0:
-        raise ConsistencyError("spine interpolation matrix is singular")
     basis = basis_indices("mixed", n)
     moments = [TABLE.integral(j, k) for (j, k) in basis]
-    transposed = [[matrix.entries[r][c] for r in range(len(basis))]
-                  for c in range(len(basis))]
-    weights = solve_exact(transposed, moments)
+    try:
+        weights = solve_exact(list(zip(*matrix.entries)), moments)
+    except ValueError:
+        raise ConsistencyError("spine interpolation matrix is singular") from None
     for col, (j, k) in enumerate(basis):
         residual = sum((weights[r] * matrix.entries[r][col]
                         for r in range(len(basis))), ZERO) - moments[col]

@@ -1,75 +1,71 @@
-"""Exact dense linear algebra over rationals (small systems only)."""
+"""Exact dense linear algebra over rationals (small systems only).
+
+One kernel, `_eliminate`, serves determinants, solves and inverses.  Each
+row of the augmented matrix [A | B] is brought to integers over its own
+denominator; fraction-free (Bareiss) elimination on the whole augmented row
+leaves an integer upper-triangular system whose last pivot D is the
+determinant of the integer rows.  Back-substitution then computes D·X, an
+integer matrix by Cramer's rule, so each of its divisions is exact; X itself
+costs one rational division per entry at the end.
+"""
 
 from __future__ import annotations
 
 from .rationals import Rat, ZERO, over_common_denominator
 
 
-def bareiss_det(matrix):
-    """Exact determinant via fraction-free (Bareiss) elimination.
-
-    Rows are scaled to integers first (tracking the scaling), so intermediate
-    entries stay integral and small.
-    """
+def _eliminate(matrix, columns=()):
+    """(det A, X) with A X = B for the right-hand sides `columns` of B, X as
+    a list of solution columns; a singular A with right-hand sides raises."""
     n = len(matrix)
-    if n == 0:
-        return Rat(1)
-    scale_den = 1
+    width = n + len(columns)
+    scale = 1
     m: list[list[int]] = []
-    for row in matrix:
-        den, ints = over_common_denominator(row)
-        scale_den *= den
+    for i, row in enumerate(matrix):
+        den, ints = over_common_denominator([*row, *(col[i] for col in columns)])
+        scale *= den
         m.append(ints)
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
+            piv = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if piv is None:
+                if columns:
+                    raise ValueError("singular system")
+                return ZERO, []
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
         prev = m[k][k]
-    return Rat(sign * m[n - 1][n - 1], scale_den)
+    det = prev  # 1 for the empty matrix
+    solutions = []
+    for c in range(n, width):
+        y = [0] * n  # y = det * x
+        for i in range(n - 1, -1, -1):
+            s = det * m[i][c] - sum(m[i][j] * y[j] for j in range(i + 1, n))
+            y[i] = s // m[i][i]
+        solutions.append([Rat(v, det) for v in y])
+    return Rat(sign * det, scale), solutions
+
+
+def bareiss_det(matrix):
+    """Exact determinant of a square rational matrix."""
+    return _eliminate(matrix)[0]
 
 
 def solve_exact(matrix, rhs):
     """Solve a square rational system exactly; raises on a singular matrix."""
-    n = len(matrix)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        a[col], a[piv] = a[piv], a[col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] / a[col][col]
-                for c in range(col, n + 1):
-                    a[r][c] -= factor * a[col][c]
-    x = [ZERO] * n
-    for i in range(n - 1, -1, -1):
-        s = a[i][n]
-        for j in range(i + 1, n):
-            s -= a[i][j] * x[j]
-        x[i] = s / a[i][i]
-    return x
+    return _eliminate(matrix, [rhs])[1][0]
 
 
 def inverse_exact(matrix):
-    """Exact inverse of a square rational matrix (column-by-column solves)."""
+    """Exact inverse of a square rational matrix; raises when it is singular."""
     n = len(matrix)
-    cols = []
-    for j in range(n):
-        e = [Rat(1) if i == j else ZERO for i in range(n)]
-        cols.append(solve_exact(matrix, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    identity = [[Rat(int(i == j)) for i in range(n)] for j in range(n)]
+    return [list(row) for row in zip(*_eliminate(matrix, identity)[1])]
 
 
 def inf_norm(matrix):

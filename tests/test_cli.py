@@ -167,6 +167,18 @@ def test_usage_error_chi_count_mismatch():
     assert "--chi" in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["gram", "--family", "1", "--maxdeg", "1", "--m", "0", "--chi", "5"],
+    ["ops", "--family", "3", "--m", "0", "--chi", "7", "--degree", "1"],
+])
+def test_usage_error_chi_with_order_0(args):
+    # --m 0 is plain L2 and has no weights; a --chi there used to be dropped
+    proc = run_cli(args)
+    assert proc.returncode == 2
+    assert "--chi" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_usage_error_v1_nodes_need_degree_1():
     proc = run_cli(["interp", "--nodes", "v1", "--n", "2"])
     assert proc.returncode == 2

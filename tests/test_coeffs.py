@@ -8,9 +8,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from sgortho.coeffs import (CoeffTable, alpha, alpha_prime, beta, eta, gamma,
-                            monomial_boundary, monomial_integral,
-                            monomial_normal, monomial_value)
+from sgortho.coeffs import (TABLE, CoeffTable, alpha, alpha_prime, beta, eta,
+                            gamma, monomial_integral, monomial_normal,
+                            monomial_value)
+from sgortho.poly import Poly
 
 FROZEN_ALPHA = {0: F(1), 1: F(1, 6), 2: F(1, 180), 3: F(1, 16200),
                 4: F(1, 3013200), 5: F(1, 979290000),
@@ -84,17 +85,29 @@ def test_boundary_normals():
         assert monomial_normal(j, 3, 2) == -3 * eta(j + 1)
 
 
-def test_boundary_kind_dispatch_and_rejections():
-    assert monomial_boundary(0, 1, 0, "value") == 1
-    assert monomial_boundary(0, 2, 1, "normal") == F(-1, 2)
-    with pytest.raises(ValueError):
-        monomial_boundary(0, 1, 1, "tangential")
-    with pytest.raises(ValueError):
-        monomial_boundary(0, 1, 3, "value")
-    with pytest.raises(ValueError):
-        monomial_boundary(0, 4, 1, "value")
-    with pytest.raises(ValueError):
-        monomial_boundary(-1, 1, 1, "value")
+def test_boundary_rejections():
+    assert monomial_value(0, 1, 0) == 1
+    assert monomial_normal(0, 2, 1) == F(-1, 2)
+    for fn in (monomial_value, monomial_normal):
+        with pytest.raises(ValueError):
+            fn(0, 1, 3)
+        with pytest.raises(ValueError):
+            fn(0, 4, 1)
+        with pytest.raises(ValueError):
+            fn(-1, 1, 1)
+
+
+@pytest.mark.parametrize("vertex", [3, -1, 7])
+def test_corner_index_checked(vertex):
+    # vertex 1 and 2 share alpha_j and eta_j; other numbers name no corner
+    for fn in (TABLE.value, TABLE.normal):
+        with pytest.raises(ValueError, match="vertex"):
+            fn(2, 1, vertex)
+    p = Poly.monomial(2, 1)
+    with pytest.raises(ValueError, match="vertex"):
+        p.boundary_value(vertex)
+    with pytest.raises(ValueError, match="vertex"):
+        p.normal_derivative(vertex)
 
 
 def test_integrals():

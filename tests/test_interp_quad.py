@@ -1,6 +1,8 @@
 """Interpolation node sets, determinants, quadrature rules and error orders."""
 
+import random
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 
@@ -12,7 +14,9 @@ from sgortho.interp import (NodeSet, composite_quadrature,
                             interpolation_matrix, condition_inf, node_depth,
                             quadrature_error_study, quadrature_weights,
                             spine_nodes, v1_nodes)
-from sgortho.linalg import bareiss_det, inverse_exact, solve_exact
+from sgortho import interp
+from sgortho.errors import ConsistencyError
+from sgortho.linalg import _eliminate, bareiss_det, inverse_exact, solve_exact
 from sgortho.poly import Poly
 from sgortho.solver import eval_poly_grid
 
@@ -202,3 +206,142 @@ def test_linalg_helpers():
     with pytest.raises(ValueError):
         solve_exact([[F(1), F(1)], [F(1), F(1)]], [F(0), F(1)])
     assert bareiss_det([[F(0), F(1)], [F(1), F(0)]]) == -1
+
+
+# -- the elimination kernel against independent oracles ------------------------
+
+
+def cofactor_det(matrix):
+    """Determinant by Laplace expansion along the top remaining row, with the
+    minors over each column subset memoized."""
+    n = len(matrix)
+
+    @cache
+    def minor(cols):
+        if not cols:
+            return F(1)
+        row = matrix[n - len(cols)]
+        return sum(((-1) ** i * row[c] * minor(cols[:i] + cols[i + 1:])
+                    for i, c in enumerate(cols)), F(0))
+
+    return minor(tuple(range(n)))
+
+
+def gauss_solve(matrix, rhs):
+    """Gaussian elimination with Fraction entries, partial pivoting on the
+    first nonzero entry; raises on a singular matrix."""
+    n = len(matrix)
+    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular system")
+        a[col], a[piv] = a[piv], a[col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                factor = a[r][col] / a[col][col]
+                for c in range(col, n + 1):
+                    a[r][c] -= factor * a[col][c]
+    x = [F(0)] * n
+    for i in range(n - 1, -1, -1):
+        s = a[i][n]
+        for j in range(i + 1, n):
+            s -= a[i][j] * x[j]
+        x[i] = s / a[i][i]
+    return x
+
+
+def random_matrix(rng, rows, cols):
+    dens = (1, 2, 3, 7, 12, 25, 1024)
+    return [[F(rng.randint(-9, 9), rng.choice(dens)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def identity(n):
+    return [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b)]
+            for row in a]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", range(9))
+def test_kernel_matches_oracles_on_random_matrices(n, seed):
+    rng = random.Random(1000 * n + seed)
+    a = random_matrix(rng, n, n)
+    rhs = random_matrix(rng, 3, n)  # three right-hand sides
+    det = cofactor_det(a)
+    assert bareiss_det(a) == det
+    if det == 0:
+        with pytest.raises(ValueError):
+            solve_exact(a, rhs[0])
+        return
+    assert _eliminate(a, rhs) == (det, [gauss_solve(a, b) for b in rhs])
+    assert solve_exact(a, rhs[0]) == gauss_solve(a, rhs[0])
+    inverse_columns = [gauss_solve(a, e) for e in identity(n)]
+    assert inverse_exact(a) == [list(r) for r in zip(*inverse_columns)]
+
+
+def test_kernel_empty_matrix():
+    assert bareiss_det([]) == 1
+    assert solve_exact([], []) == []
+    assert inverse_exact([]) == []
+
+
+@pytest.mark.parametrize("case", ["repeated row", "zero column"])
+def test_kernel_singular(case):
+    rng = random.Random(7)
+    a = random_matrix(rng, 5, 5)
+    if case == "repeated row":
+        a[3] = list(a[1])
+    else:
+        for row in a:
+            row[2] = F(0)
+    assert cofactor_det(a) == 0
+    assert bareiss_det(a) == 0
+    with pytest.raises(ValueError):
+        solve_exact(a, [F(1)] * 5)
+    with pytest.raises(ValueError):
+        inverse_exact(a)
+
+
+@pytest.mark.parametrize("a", [
+    # zero first pivot
+    [[F(0), F(2), F(1, 3)], [F(3, 2), F(4), F(5)], [F(6), F(7), F(9, 7)]],
+    # zero first column above the last row: the swap reaches the bottom
+    [[F(0), F(1), F(2)], [F(0), F(3, 5), F(1)], [F(2), F(1), F(1)]],
+    # nonzero first pivot, zero second pivot after the first step
+    [[F(1), F(2), F(3)], [F(2), F(4), F(7)], [F(1, 2), F(3), F(1)]],
+])
+def test_kernel_row_swaps(a):
+    det = cofactor_det(a)
+    assert det != 0
+    assert bareiss_det(a) == det
+    b = [F(1), F(-2, 3), F(5)]
+    x = solve_exact(a, b)
+    assert x == gauss_solve(a, b)
+    assert matmul(a, [[v] for v in x]) == [[v] for v in b]
+    assert matmul(inverse_exact(a), a) == identity(3)
+
+
+def test_kernel_several_right_hand_sides():
+    rng = random.Random(11)
+    a = random_matrix(rng, 6, 6)
+    b = random_matrix(rng, 4, 6)  # columns of B
+    det, x = _eliminate(a, b)
+    assert det == cofactor_det(a) != 0
+    assert matmul(a, [list(r) for r in zip(*x)]) == [list(r) for r in zip(*b)]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_inverse_of_spine_matrix(n):
+    entries = interpolation_matrix(spine_nodes(n)).entries
+    assert matmul(inverse_exact(entries), entries) == identity(len(entries))
+
+
+def test_quadrature_weights_singular_matrix_is_consistency_error(monkeypatch):
+    monkeypatch.setattr(interp, "spine_nodes", degenerate_spine_nodes)
+    with pytest.raises(ConsistencyError, match="singular"):
+        quadrature_weights(1)
