@@ -51,10 +51,11 @@ finally:
 def digest_commands() -> list[str]:
     """The CLI commands whose stdout must not change: every seed-0 benchmark
     request, the degree-16 recurrence builds, Gram-Schmidt at orders 0-2,
-    the full verify, the coefficient table, a mixed Gram matrix, and the
+    the full verify, the coefficient table, a mixed Gram matrix, the
     exact-rule requests the seed-0 requests miss (an off-spine interpolation
-    node, quadrature studies of every family) and the exact solves they miss
-    (a large interpolation matrix, a singular one, an order-4 rule)."""
+    node, quadrature studies of every family), the exact solves they miss
+    (a large interpolation matrix, a singular one, an order-4 rule), and
+    high-degree builds, where the exact numbers are largest."""
     out = [req.key for w in WORKLOADS for req in workloads.requests(w, 0)]
     out += [f"ops --family {k} --degree 16" for k in (1, 2, 3)]
     out += [f"ops --family {k} --m {m} --degree 12 --method gram-schmidt"
@@ -65,6 +66,10 @@ def digest_commands() -> list[str]:
             "quad --n 2 --study-degree 3 --study-family 3 --m-max 4",
             "interp --nodes spine --n 5 --matrix",
             "interp --nodes degenerate --n 1", "quad --n 4"]
+    out += ["ops --family 3 --m 0 --degree 24",
+            "ops --family 2 --chi 3/8 --degree 20",
+            "ops --family 1 --chi 9/7 --degree 20",
+            "ops --family 2 --m 1 --degree 16 --method gram-schmidt"]
     return list(dict.fromkeys(out))
 
 

@@ -26,10 +26,9 @@ from .families import (gram_schmidt, legendre, sobolev_four_term,
                        sobolev_higher, sobolev_three_term)
 from .grid import count_sign_changes, restrict_edge
 from .inner import SobolevParams, gram_matrix
-from .interp import (condition_inf, degenerate_spine_nodes,
+from .interp import (degenerate_spine_nodes, det_and_condition,
                      interpolation_matrix, quadrature_error_study,
                      quadrature_weights, spine_nodes, v1_nodes)
-from .linalg import bareiss_det
 from .odes import chi_asymptotics
 from .poly import Poly
 from .rationals import Rat, rat_decimal, rat_from_str, rat_str
@@ -215,7 +214,7 @@ def cmd_interp(args) -> int:
                              f"not --n {args.n}")
         nodes = v1_nodes()
     matrix = interpolation_matrix(nodes)
-    det = bareiss_det(matrix.entries)
+    det, condition = det_and_condition(matrix)
     # every entry is exact, so the determinant carries no error bound
     payload = {
         "nodes": args.nodes,
@@ -226,8 +225,8 @@ def cmd_interp(args) -> int:
         "det_decimal": rat_decimal(det, args.digits),
         "det_error_bound": "0",
     }
-    if det != 0:
-        payload["condition_inf"] = condition_inf(matrix)
+    if condition is not None:
+        payload["condition_inf"] = condition
     if args.matrix:
         payload["matrix"] = matrix.to_json_dict()
     _write(args.out, _json(payload))

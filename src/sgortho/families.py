@@ -27,7 +27,11 @@ Builders:
 
 Every builder takes one step per degree through `_orthogonalize`: project a
 candidate (a monomial, a Green image) onto a window of earlier members,
-subtract, and keep the coefficients as the recurrence table.
+subtract, and keep the coefficients as the recurrence table.  The
+subtraction is one `Poly.combination` over the window, in window order: the
+integer numerators are brought to a common denominator and reduced by their
+content after each member, so no intermediate sum outgrows the reduced
+partial result.
 
 Squared norms come from the leading monomial: a monic s_n orthogonal to
 every lower degree of its family has |s_n|^2 = <s_n, P_{n,k}>, a product
@@ -113,10 +117,7 @@ def _orthogonalize(params: SobolevParams, f: Poly, polys: list[Poly],
     """f minus its projections onto polys[i] for i in window, and the
     projection coefficients <f, polys[i]> / norms[i] in window order."""
     coefs = [extended_inner(params, f, polys[i]) / norms[i] for i in window]
-    out = f
-    for i, c in zip(window, coefs):
-        out = out - polys[i].scale(c)
-    return out, coefs
+    return f.combination([(-c, polys[i]) for i, c in zip(window, coefs)]), coefs
 
 
 def _leading_norm(params: SobolevParams, s: Poly, family: int):
@@ -158,15 +159,11 @@ def legendre(family: int, maxdeg: int) -> OPFamily:
 
 def _zeta(family: int, leg_poly: Poly):
     """Harmonic-correction coefficient of the Green image of a Legendre polynomial."""
-    total = ZERO
-    for (l, _k), w in leg_poly.coeffs.items():
-        if family == 1:
-            total += 2 * w * TABLE.alpha(l + 1)
-        elif family == 2:
-            total += 2 * w * TABLE.beta(l + 1)
-        else:
-            total -= 2 * w * TABLE.gamma(l + 1)
-    return total
+    if family == 1:
+        return leg_poly.linear_form(lambda idx: 2 * TABLE.alpha(idx[0] + 1))
+    if family == 2:
+        return leg_poly.linear_form(lambda idx: 2 * TABLE.beta(idx[0] + 1))
+    return leg_poly.linear_form(lambda idx: -2 * TABLE.gamma(idx[0] + 1))
 
 
 def green_seq(family: int, count: int) -> list[Poly]:
@@ -184,9 +181,7 @@ def green_seq(family: int, count: int) -> list[Poly]:
             p = leg.polys[t - 1]
             direct = p.green()
             shifted = {(l + 1, k): w for (l, k), w in p.coeffs.items()}
-            z = _zeta(family, p)
-            if z != 0:
-                shifted[corr_index] = shifted.get(corr_index, ZERO) + z
+            shifted[corr_index] = _zeta(family, p)
             if direct != Poly(shifted):
                 raise ConsistencyError(f"Green image of degree {t - 1} disagrees "
                                        "with its closed-form expansion")
@@ -237,8 +232,7 @@ def corner_normal_of_green_image(t: int):
     if t < 2:
         raise ValueError("projection formula for the corner normal needs t >= 2")
     p = legendre(1, t - 1).polys[t - 1]
-    return 2 * sum((w * mono_inner_l2((l, 1), (0, 2))
-                    for (l, _k), w in p.coeffs.items()), ZERO)
+    return 2 * p.linear_form(lambda idx: mono_inner_l2((idx[0], 1), (0, 2)))
 
 
 def sobolev_four_term(chi, maxdeg: int) -> OPFamily:
@@ -272,7 +266,7 @@ def sobolev_four_term(chi, maxdeg: int) -> OPFamily:
                 f"corner normal derivative of f_{n + 2} vanishes; "
                 "the symmetric-family recurrence breaks down")
         d[n] = -dn_hi / dn_lo
-        rhs = fs[n + 3] + fs[n + 2].scale(d[n])
+        rhs = fs[n + 3].combination(((d[n], fs[n + 2]),))
         if rhs[(0, 2)] != 0:
             raise ConsistencyError("combined right-hand side left the symmetric family")
         # rhs has zero corner normals, so integrating by parts against the monic
@@ -280,7 +274,7 @@ def sobolev_four_term(chi, maxdeg: int) -> OPFamily:
         c[n] = d[n] * leg.norms_sq[n + 1] / norms[n]
         s_next, (a[n], b[n]) = _orthogonalize(params, rhs, polys, norms,
                                               (n + 2, n + 1))
-        s_next = s_next - polys[n].scale(c[n])
+        s_next = s_next.combination(((-c[n], polys[n]),))
         polys.append(s_next)
         norms.append(_leading_norm(params, s_next, 1))
     return OPFamily(family=1, params=params, polys=polys, norms_sq=norms,
@@ -299,9 +293,7 @@ def green_seq_sym_infamily(count: int) -> list[Poly]:
     for t in range(1, count + 1):
         p = leg.polys[t - 1]
         shifted = {(l + 1, 1): w for (l, _k), w in p.coeffs.items()}
-        z = -sum((w * TABLE.alpha(l + 1) for (l, _k), w in p.coeffs.items()), ZERO)
-        if z != 0:
-            shifted[(0, 1)] = shifted.get((0, 1), ZERO) + z
+        shifted[(0, 1)] = -p.linear_form(lambda idx: TABLE.alpha(idx[0] + 1))
         out.append(Poly(shifted))
     return out
 
@@ -422,11 +414,11 @@ def limit_family_sym(maxdeg: int) -> list[Poly]:
         n = deg - 3
         if deg in (2, 3):
             dd = d_coef(n)  # n = -1 or 0; f_1 onward exist
-            comb, _ = _orthogonalize(L2, fs[deg] + fs[deg - 1].scale(dd),
+            comb, _ = _orthogonalize(L2, fs[deg].combination(((dd, fs[deg - 1]),)),
                                      leg.polys, leg.norms_sq, (0,))
-            g = comb - gs[deg - 1].scale(dd)
+            g = comb.combination(((-dd, gs[deg - 1]),))
         else:
             dd = d_coef(n)
-            g = fs[deg] + (fs[deg - 1] - gs[deg - 1]).scale(dd)
+            g = fs[deg].combination(((dd, fs[deg - 1]), (-dd, gs[deg - 1])))
         gs.append(g)
     return gs

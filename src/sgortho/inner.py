@@ -26,13 +26,13 @@ since the Laplacian shifts monomial indices down:
 
     <f, g>_{S^m} = sum_{r=0}^m chi_r <Lap^r f, Lap^r g>_2.
 
-poly_inner evaluates this sum in integers.  f and g are written as integer
-numerators x_a, y_b over one common denominator each, D_f and D_g; each order
-r with chi_r != 0 sums x_a y_b L2(a - r, b - r) as an integer over the common
-denominator of its (cached) L2 values, so there is one rational reduction per
-Laplacian order and one final division by D_f D_g, instead of three Fraction
-operations per pair of terms.  mono_inner keeps the per-monomial form for
-Gram matrices.
+poly_inner evaluates this sum in integers.  It reads the stored form of f
+and g (see poly.py): integer numerators x_a, y_b over one denominator each,
+D_f and D_g, so it converts nothing.  Each order r with chi_r != 0 sums
+x_a y_b L2(a - r, b - r) as an integer over the common denominator of its
+(cached) L2 values, so there is one rational reduction per Laplacian order
+and one final division by D_f D_g, instead of three Fraction operations per
+pair of terms.  mono_inner keeps the per-monomial form for Gram matrices.
 
 The energy form is evaluated through Gauss-Green as well:
 E(f, g) = -<Lap f, g>_2 + sum_l g(q_l) dn f(q_l), which is its normative
@@ -199,8 +199,8 @@ def mono_inner(params: SobolevParams, a: Index, b: Index,
 
 def poly_inner(params: SobolevParams, f: Poly, g: Poly):
     """Bilinear extension of mono_inner to polynomials, exactly, in integer
-    arithmetic (see the module docstring)."""
-    if not f.coeffs or not g.coeffs:
+    arithmetic on the stored numerators (see the module docstring)."""
+    if not f.nums or not g.nums:
         return ZERO
     factor = ONE
     if f.base_point != 0 or g.base_point != 0:
@@ -208,14 +208,12 @@ def poly_inner(params: SobolevParams, f: Poly, g: Poly):
             raise ValueError("base points other than q0 only supported for the k=3 family")
         if f.base_point != g.base_point:
             factor = Rat(-1, 2)
-    den_f, xs = over_common_denominator(f.coeffs.values())
-    den_g, ys = over_common_denominator(g.coeffs.values())
     total = ZERO
     for r, chi in enumerate(params.chi):
         if chi == 0:
             continue
-        f_r = [((j - r, k), x) for (j, k), x in zip(f.coeffs, xs) if j >= r]
-        g_r = [((j - r, k), y) for (j, k), y in zip(g.coeffs, ys) if j >= r]
+        f_r = [((j - r, k), x) for (j, k), x in f.nums.items() if j >= r]
+        g_r = [((j - r, k), y) for (j, k), y in g.nums.items() if j >= r]
         den_l, l2 = over_common_denominator(
             mono_inner_l2(a, b) for a, _ in f_r for b, _ in g_r)
         n = len(g_r)
@@ -223,7 +221,7 @@ def poly_inner(params: SobolevParams, f: Poly, g: Poly):
         for i, (_, x) in enumerate(f_r):
             acc += x * sum(y * l for (_, y), l in zip(g_r, l2[i * n:(i + 1) * n]))
         total += chi * Rat(acc, den_l)
-    return factor * total / (den_f * den_g)
+    return factor * total / (f.den * g.den)
 
 
 def energy_inner(f: Poly, g: Poly):

@@ -31,7 +31,7 @@ from .coeffs import TABLE
 from .errors import ConsistencyError
 from .grid import cell_words, multiharmonic_extend
 from .inner import basis_indices
-from .linalg import inf_norm, inverse_exact, solve_exact
+from .linalg import det_and_inverse, inf_norm, solve_exact
 from .poly import Poly
 from .rationals import Rat, ZERO, rat_str
 
@@ -108,10 +108,13 @@ def interpolation_matrix(nodes: NodeSet, n: int | None = None) -> InterpolationM
     return InterpolationMatrix(node_set=nodes, entries=entries)
 
 
-def condition_inf(matrix: InterpolationMatrix) -> float:
-    """Infinity-norm condition number (report only)."""
-    inv = inverse_exact(matrix.entries)
-    return float(inf_norm(matrix.entries) * inf_norm(inv))
+def det_and_condition(matrix: InterpolationMatrix) -> tuple:
+    """(det, infinity-norm condition number) from one elimination; the
+    condition number (report only) is None when the matrix is singular."""
+    det, inverse = det_and_inverse(matrix.entries)
+    if inverse is None:
+        return det, None
+    return det, float(inf_norm(matrix.entries) * inf_norm(inverse))
 
 
 @dataclass(frozen=True)

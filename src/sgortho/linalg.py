@@ -16,7 +16,7 @@ from .rationals import Rat, ZERO, over_common_denominator
 
 def _eliminate(matrix, columns=()):
     """(det A, X) with A X = B for the right-hand sides `columns` of B, X as
-    a list of solution columns; a singular A with right-hand sides raises."""
+    a list of solution columns; X is None when A is singular."""
     n = len(matrix)
     width = n + len(columns)
     scale = 1
@@ -31,9 +31,7 @@ def _eliminate(matrix, columns=()):
         if m[k][k] == 0:
             piv = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
             if piv is None:
-                if columns:
-                    raise ValueError("singular system")
-                return ZERO, []
+                return ZERO, None
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
         for i in range(k + 1, n):
@@ -56,16 +54,29 @@ def bareiss_det(matrix):
     return _eliminate(matrix)[0]
 
 
+def _nonsingular(solutions):
+    if solutions is None:
+        raise ValueError("singular system")
+    return solutions
+
+
 def solve_exact(matrix, rhs):
     """Solve a square rational system exactly; raises on a singular matrix."""
-    return _eliminate(matrix, [rhs])[1][0]
+    return _nonsingular(_eliminate(matrix, [rhs])[1])[0]
+
+
+def det_and_inverse(matrix):
+    """(det A, A^-1) from one elimination; the inverse is None when A is
+    singular."""
+    n = len(matrix)
+    identity = [[Rat(int(i == j)) for i in range(n)] for j in range(n)]
+    det, columns = _eliminate(matrix, identity)
+    return det, None if columns is None else [list(row) for row in zip(*columns)]
 
 
 def inverse_exact(matrix):
     """Exact inverse of a square rational matrix; raises when it is singular."""
-    n = len(matrix)
-    identity = [[Rat(int(i == j)) for i in range(n)] for j in range(n)]
-    return [list(row) for row in zip(*_eliminate(matrix, identity)[1])]
+    return _nonsingular(det_and_inverse(matrix)[1])
 
 
 def inf_norm(matrix):

@@ -9,20 +9,45 @@ on monomials by shifting degrees up and adding an explicit harmonic correction:
     G P_{l,3} = P_{l+1,3} - 2 gamma_{l+1} P_{0,3}
 
 so that Laplacian(G f) = f and G f vanishes at all three corners.
+
+Representation.  A Poly stores one denominator `den` (an int > 0) and
+`nums`, a map (j, k) -> nonzero int, with gcd(den, every num) = 1; the
+coefficient of P_{j,k} is nums[(j, k)] / den.  The form is canonical, so
+== and hash compare it directly.  `coeffs`, the map to reduced Fractions,
+is a view built on first access, for rendering and for callers that want
+rationals.
+
+Kernel.  `combination` computes self + sum(c * p) one term at a time.  For
+each term c * p it brings the running numerators and c's numerator times
+p.nums to L = lcm(den, c.den * p.den), adds them, and divides by the gcd
+of L and the content, so the numbers never grow past the reduced result
+of that prefix.  Addition, subtraction, scaling, the Green operator's
+harmonic correction and every Gram-Schmidt or recurrence step go through
+it.  Linear functionals of the coefficients (corner values and normals,
+the integral, spine values) are one integer sum over the denominator of
+their weights (`linear_form`).
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from .coeffs import TABLE, FAMILIES
-from .rationals import ZERO, Rat, rat_str
+from .rationals import ZERO, Rat, over_common_denominator, rat_str
 
 Index = tuple[int, int]
+
+
+def _check_rational(c, where: str) -> None:
+    if not isinstance(c, (int, Rat)):
+        raise TypeError(f"{where} must be an int or a Fraction, "
+                        f"not {type(c).__name__}")
 
 
 class Poly:
     """Exact polynomial sum(c_{j,k} P_{j,k}) with an optional base point."""
 
-    __slots__ = ("coeffs", "base_point")
+    __slots__ = ("den", "nums", "base_point", "_coeffs")
 
     def __init__(self, coeffs: dict | None = None, base_point: int = 0):
         clean: dict[Index, object] = {}
@@ -30,10 +55,34 @@ class Poly:
             for (j, k), c in coeffs.items():
                 if k not in FAMILIES or j < 0:
                     raise ValueError(f"bad monomial index ({j},{k})")
+                _check_rational(c, f"coefficient of ({j},{k})")
                 if c != 0:
                     clean[(j, k)] = c
-        self.coeffs = clean
+        # each coefficient is in lowest terms, so over the lcm of their
+        # denominators no prime divides den and every numerator
+        den = lcm(*(c.denominator for c in clean.values()))
+        self._set(den, {idx: c.numerator * (den // c.denominator)
+                        for idx, c in clean.items()}, base_point)
+
+    def _set(self, den: int, nums: dict, base_point: int) -> None:
+        self.den = den
+        self.nums = nums
         self.base_point = base_point
+        self._coeffs = None
+
+    @classmethod
+    def _of(cls, den: int, nums: dict, base_point: int) -> "Poly":
+        """The Poly sum(nums[idx] / den P_idx) of a canonical (den, nums)."""
+        out = cls.__new__(cls)
+        out._set(den, nums, base_point)
+        return out
+
+    @property
+    def coeffs(self) -> dict:
+        """The coefficients as reduced Fractions (a view; do not modify)."""
+        if self._coeffs is None:
+            self._coeffs = {idx: Rat(v, self.den) for idx, v in self.nums.items()}
+        return self._coeffs
 
     # -- constructors ---------------------------------------------------------
 
@@ -43,66 +92,96 @@ class Poly:
 
     @staticmethod
     def monomial(j: int, k: int, c=1, base_point: int = 0) -> "Poly":
-        return Poly({(j, k): Rat(c)}, base_point)
+        return Poly({(j, k): c}, base_point)
 
     # -- ring structure ---------------------------------------------------------
 
-    def _assert_compatible(self, other: "Poly") -> None:
-        if self.base_point != other.base_point and self.coeffs and other.coeffs:
-            raise ValueError("polynomials have different base points")
+    def combination(self, terms) -> "Poly":
+        """self + sum(c * p for c, p in terms), reduced after every term (see
+        the module docstring).  Base points must agree between nonzero terms."""
+        den, nums, base = self.den, dict(self.nums), self.base_point
+        for c, p in terms:
+            _check_rational(c, "scalar")
+            if c == 0 or not p.nums:
+                continue
+            if nums and p.base_point != base:
+                raise ValueError("polynomials have different base points")
+            if not nums:
+                base = p.base_point
+            term_den = c.denominator * p.den
+            big = lcm(den, term_den)
+            if big != den:
+                up = big // den
+                nums = {idx: v * up for idx, v in nums.items()}
+            m = c.numerator * (big // term_den)
+            for idx, v in p.nums.items():
+                x = nums.get(idx, 0) + m * v
+                if x:
+                    nums[idx] = x
+                else:
+                    del nums[idx]
+            den, nums = _reduce(big, nums)
+        return Poly._of(den, nums, base)
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._assert_compatible(other)
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            out[idx] = out.get(idx, ZERO) + c
-        base = self.base_point if self.coeffs else other.base_point
-        return Poly(out, base)
+        return self.combination(((1, other),))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self.combination(((-1, other),))
 
     def __neg__(self) -> "Poly":
-        return Poly({idx: -c for idx, c in self.coeffs.items()}, self.base_point)
+        return Poly._of(self.den, {idx: -v for idx, v in self.nums.items()},
+                        self.base_point)
 
     def scale(self, c) -> "Poly":
-        if c == 0:
-            return Poly.zero(self.base_point)
-        return Poly({idx: c * v for idx, v in self.coeffs.items()}, self.base_point)
+        return Poly.zero(self.base_point).combination(((c, self),))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs and not other.coeffs:
+        if not self.nums and not other.nums:
             return True
-        return self.coeffs == other.coeffs and self.base_point == other.base_point
+        return (self.den == other.den and self.nums == other.nums
+                and self.base_point == other.base_point)
 
     def __hash__(self):
-        return hash((frozenset(self.coeffs.items()), self.base_point))
+        if not self.nums:
+            return hash(())  # every zero polynomial is equal, whatever its base
+        return hash((self.den, frozenset(self.nums.items()), self.base_point))
 
     def __getitem__(self, idx: Index):
-        return self.coeffs.get(idx, ZERO)
+        return Rat(self.nums.get(idx, 0), self.den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> int:
         """Max degree with a nonzero coefficient; -1 for the zero polynomial."""
-        return max((j for j, _ in self.coeffs), default=-1)
+        return max((j for j, _ in self.nums), default=-1)
 
     def families(self) -> set[int]:
-        return {k for _, k in self.coeffs}
+        return {k for _, k in self.nums}
 
     def is_monic(self, family: int) -> bool:
-        return self[(self.degree, family)] == 1
+        return self.nums.get((self.degree, family)) == self.den
+
+    def linear_form(self, weight):
+        """sum(c_idx * weight(idx)) exactly, as one integer sum over the
+        common denominator of the weights."""
+        if not self.nums:
+            return ZERO
+        den, ws = over_common_denominator(weight(idx) for idx in self.nums)
+        return Rat(sum(v * w for v, w in zip(self.nums.values(), ws)),
+                   self.den * den)
 
     # -- calculus ---------------------------------------------------------------
 
     def laplacian(self) -> "Poly":
         """Shift every coefficient from (j,k) to (j-1,k); degree-0 terms vanish."""
-        return Poly({(j - 1, k): c for (j, k), c in self.coeffs.items() if j > 0},
-                    self.base_point)
+        return Poly._of(*_reduce(self.den, {(j - 1, k): v for (j, k), v
+                                            in self.nums.items() if j > 0}),
+                        self.base_point)
 
     def laplacian_power(self, n: int) -> "Poly":
         out = self
@@ -112,22 +191,12 @@ class Poly:
 
     def green(self) -> "Poly":
         """Apply the Dirichlet Green operator (right inverse of the Laplacian)."""
-        if self.base_point != 0 and self.coeffs:
+        if self.base_point != 0 and self.nums:
             raise ValueError("Green operator is defined for base point 0 only")
-        out: dict[Index, object] = {}
-
-        def add(idx, c):
-            out[idx] = out.get(idx, ZERO) + c
-
-        for (l, k), c in self.coeffs.items():
-            add((l + 1, k), c)
-            if k == 1:
-                add((0, 2), 2 * TABLE.alpha(l + 1) * c)
-            elif k == 2:
-                add((0, 2), 2 * TABLE.beta(l + 1) * c)
-            else:
-                add((0, 3), -2 * TABLE.gamma(l + 1) * c)
-        return Poly(out, 0)
+        shifted = {(l + 1, k): v for (l, k), v in self.nums.items()}
+        return Poly._of(self.den, shifted, 0).combination((
+            (self.linear_form(_symmetric_correction), Poly.monomial(0, 2)),
+            (self.linear_form(_antisymmetric_correction), Poly.monomial(0, 3))))
 
     def green_power(self, n: int) -> "Poly":
         out = self
@@ -140,14 +209,12 @@ class Poly:
     def boundary_value(self, vertex: int):
         """Exact value at corner q_vertex (base point 0 only)."""
         self._require_base0()
-        return sum((c * TABLE.value(j, k, vertex) for (j, k), c in self.coeffs.items()),
-                   ZERO)
+        return self.linear_form(lambda idx: TABLE.value(*idx, vertex))
 
     def normal_derivative(self, vertex: int):
         """Exact normal derivative at corner q_vertex (base point 0 only)."""
         self._require_base0()
-        return sum((c * TABLE.normal(j, k, vertex) for (j, k), c in self.coeffs.items()),
-                   ZERO)
+        return self.linear_form(lambda idx: TABLE.normal(*idx, vertex))
 
     def dirichlet_data(self) -> tuple:
         """Iterated Dirichlet data: for each corner q_i, the values
@@ -157,8 +224,7 @@ class Poly:
 
     def integral(self):
         """Exact integral against the self-similar probability measure."""
-        return sum((c * TABLE.integral(j, k) for (j, k), c in self.coeffs.items()),
-                   ZERO)
+        return self.linear_form(lambda idx: TABLE.integral(*idx))
 
     def eval_spine(self, depth: int, target: int):
         """Exact value at F_0^depth(q_target), target in {1,2}, via scaling laws.
@@ -172,20 +238,20 @@ class Poly:
             raise ValueError("spine evaluation targets corner 1 or 2")
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        total = ZERO
         m = depth
-        for (j, k), c in self.coeffs.items():
+        sign = 1 if target == 1 else -1
+
+        def weight(idx):
+            j, k = idx
             if k == 1:
-                total += c * Rat(1, 5 ** (j * m)) * TABLE.alpha(j)
-            elif k == 2:
-                total += c * Rat(3 ** m, 5 ** ((j + 1) * m)) * TABLE.beta(j)
-            else:
-                v = c * Rat(1, 5 ** ((j + 1) * m)) * TABLE.gamma(j)
-                total += v if target == 1 else -v
-        return total
+                return Rat(1, 5 ** (j * m)) * TABLE.alpha(j)
+            if k == 2:
+                return Rat(3 ** m, 5 ** ((j + 1) * m)) * TABLE.beta(j)
+            return Rat(sign, 5 ** ((j + 1) * m)) * TABLE.gamma(j)
+        return self.linear_form(weight)
 
     def _require_base0(self) -> None:
-        if self.base_point != 0 and self.coeffs:
+        if self.base_point != 0 and self.nums:
             raise ValueError("operation requires base point 0")
 
     # -- serialization ------------------------------------------------------------
@@ -195,8 +261,30 @@ class Poly:
                 for (j, k), c in sorted(self.coeffs.items())}
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "Poly(0)"
         terms = " + ".join(f"{rat_str(c)}*P[{j},{k}]"
                            for (j, k), c in sorted(self.coeffs.items()))
         return f"Poly({terms})"
+
+
+def _reduce(den: int, nums: dict) -> tuple[int, dict]:
+    """(den, nums) divided by gcd(den, every num)."""
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return den, nums
+    return den // g, {idx: v // g for idx, v in nums.items()}
+
+
+def _symmetric_correction(idx: Index):
+    """Coefficient of P_{0,2} in G P_idx."""
+    l, k = idx
+    if k == 1:
+        return 2 * TABLE.alpha(l + 1)
+    return 2 * TABLE.beta(l + 1) if k == 2 else ZERO
+
+
+def _antisymmetric_correction(idx: Index):
+    """Coefficient of P_{0,3} in G P_idx."""
+    l, k = idx
+    return -2 * TABLE.gamma(l + 1) if k == 3 else ZERO

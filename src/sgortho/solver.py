@@ -128,7 +128,7 @@ def eval_poly_grid(f: Poly, m: int, solve_level: int | None = None) -> FieldOnGr
     restricts.  Harmonic polynomials come out exact; for higher degrees the
     values converge to the true ones as solve_level grows.
     """
-    if f.base_point != 0 and f.coeffs:
+    if f.base_point != 0 and f.nums:
         raise ValueError("grid evaluation requires base point 0")
     if solve_level is None:
         solve_level = m + 2

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from sgortho import cli
+from sgortho import cli, linalg
 from sgortho.errors import ConsistencyError, MathematicalAssumptionError
 from sgortho.rationals import Rat
 
@@ -106,9 +106,27 @@ def test_interp_report(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["fully_exact"] is True
     assert Rat(payload["det"]) != 0
+    assert payload["condition_inf"] > 1
     assert cli.main(["interp", "--nodes", "degenerate", "--n", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["det"] == "0"
+    assert "condition_inf" not in payload
+
+
+def test_interp_eliminates_matrix_once(capsys, monkeypatch):
+    sizes = []
+    eliminate = linalg._eliminate
+
+    def counting(matrix, columns=()):
+        sizes.append(len(matrix))
+        return eliminate(matrix, columns)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    for nodes, n in (("spine", 2), ("degenerate", 1)):
+        sizes.clear()
+        assert cli.main(["interp", "--nodes", nodes, "--n", str(n)]) == 0
+        capsys.readouterr()
+        assert sizes.count(3 * (n + 1)) == 1  # the det and the inverse together
 
 
 def test_quad_rule_and_study(capsys, tmp_path):

@@ -10,13 +10,14 @@ from sgortho.addresses import VertexAddress, spine_address
 from sgortho.coeffs import TABLE, gamma
 from sgortho.grid import multiharmonic_extend
 from sgortho.interp import (NodeSet, composite_quadrature,
-                            degenerate_spine_nodes, eval_monomial_at,
-                            interpolation_matrix, condition_inf, node_depth,
+                            degenerate_spine_nodes, det_and_condition,
+                            eval_monomial_at, interpolation_matrix, node_depth,
                             quadrature_error_study, quadrature_weights,
                             spine_nodes, v1_nodes)
 from sgortho import interp
 from sgortho.errors import ConsistencyError
-from sgortho.linalg import _eliminate, bareiss_det, inverse_exact, solve_exact
+from sgortho.linalg import (_eliminate, bareiss_det, det_and_inverse, inverse_exact,
+                            solve_exact)
 from sgortho.poly import Poly
 from sgortho.solver import eval_poly_grid
 
@@ -81,8 +82,10 @@ def test_v1_matrix_exact_value_and_condition():
     for col, k in enumerate((1, 2, 3)):
         field = eval_poly_grid(Poly.monomial(1, k), 1, 1)
         assert matrix.entries[-1][3 + col] == field.value_at(addr)
-    assert abs(bareiss_det(matrix.entries)) > F(1, 10**8)
-    assert condition_inf(matrix) > 1
+    det, condition = det_and_condition(matrix)
+    assert det == bareiss_det(matrix.entries)
+    assert abs(det) > F(1, 10**8)
+    assert condition > 1
 
 
 def test_exact_value_at_non_spine_vertex():
@@ -282,6 +285,7 @@ def test_kernel_matches_oracles_on_random_matrices(n, seed):
     assert solve_exact(a, rhs[0]) == gauss_solve(a, rhs[0])
     inverse_columns = [gauss_solve(a, e) for e in identity(n)]
     assert inverse_exact(a) == [list(r) for r in zip(*inverse_columns)]
+    assert det_and_inverse(a) == (det, inverse_exact(a))
 
 
 def test_kernel_empty_matrix():
@@ -305,6 +309,7 @@ def test_kernel_singular(case):
         solve_exact(a, [F(1)] * 5)
     with pytest.raises(ValueError):
         inverse_exact(a)
+    assert det_and_inverse(a) == (0, None)
 
 
 @pytest.mark.parametrize("a", [
