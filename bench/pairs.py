@@ -1,6 +1,7 @@
 """Alternating parent/change runs of the benchmark, written to BENCH_<pr>.json.
 
     python3 bench/pairs.py --pr N [--workloads grid,family,battery] [--seed 0]
+    python3 bench/pairs.py --check
 
 The parent side is `git archive HEAD`; the change side is the working tree
 (tracked and untracked files, minus what .gitignore names).  Both are
@@ -20,6 +21,12 @@ Before timing, it runs every command of `digest_commands()` on both sides
 and records the sha256 of its stdout and its exit code.  The file is
 written either way; the exit code is 1 when a digest differs or a benchmark
 run reports an incorrect output, else 0.
+
+`--check` runs no timing.  It runs every command of `digest_commands()` on
+the working tree and compares its sha256 and exit code with the `change`
+side of the newest BENCH_<n>.json.  A command that file does not list is
+reported as new, not as a difference.  The exit code is 1 on any
+difference, else 0.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import shutil
 import statistics
 import subprocess
@@ -54,8 +62,10 @@ def digest_commands() -> list[str]:
     the full verify, the coefficient table, a mixed Gram matrix, the
     exact-rule requests the seed-0 requests miss (an off-spine interpolation
     node, quadrature studies of every family), the exact solves they miss
-    (a large interpolation matrix, a singular one, an order-4 rule), and
-    high-degree builds, where the exact numbers are largest."""
+    (a large interpolation matrix, a singular one, an order-4 rule),
+    high-degree builds, where the exact numbers are largest, and the edges of
+    the recurrence tables (degrees 1 to m + 1, order 3, unequal order-2
+    weights, large weights and a k=1 grid field)."""
     out = [req.key for w in WORKLOADS for req in workloads.requests(w, 0)]
     out += [f"ops --family {k} --degree 16" for k in (1, 2, 3)]
     out += [f"ops --family {k} --m {m} --degree 12 --method gram-schmidt"
@@ -70,6 +80,12 @@ def digest_commands() -> list[str]:
             "ops --family 2 --chi 3/8 --degree 20",
             "ops --family 1 --chi 9/7 --degree 20",
             "ops --family 2 --m 1 --degree 16 --method gram-schmidt"]
+    out += ["ops --family 2 --degree 1", "ops --family 1 --degree 3",
+            "ops --family 3 --m 2 --degree 3",
+            "ops --family 3 --m 3 --chi 1,2,5 --degree 12",
+            "ops --family 2 --m 2 --chi 1/2,3 --degree 16",
+            "sweep-chi --family 2 --n 4 --chi-list 100,10000",
+            "eval --family 1 --degree 4 --level 3"]
     return list(dict.fromkeys(out))
 
 
@@ -102,6 +118,36 @@ def digest(side: Path, command: str) -> dict:
             "returncode": done.returncode}
 
 
+def newest_bench_file() -> Path:
+    numbered = [(int(m.group(1)), path) for path in ROOT.glob("BENCH_*.json")
+                if (m := re.fullmatch(r"BENCH_(\d+)\.json", path.name))]
+    if not numbered:
+        raise SystemExit("no BENCH_<n>.json to check against")
+    return max(numbered)[1]
+
+
+def check() -> int:
+    """Digest-only comparison of the working tree with the newest BENCH file."""
+    reference = newest_bench_file()
+    recorded = json.loads(reference.read_text())["digests"]["commands"]
+    commands = digest_commands()
+    differ = 0
+    for cmd in commands:
+        got = digest(ROOT, cmd)
+        want = recorded.get(cmd, {}).get("change")
+        if want is None:
+            status = "new"
+        elif got == want:
+            status = "same"
+        else:
+            status = "DIFFERS"
+            differ += 1
+        print(f"{status:8s} exit {got['returncode']}  {cmd}", flush=True)
+    print(f"{differ} of {len(commands)} digests differ from "
+          f"{reference.name}", file=sys.stderr)
+    return 1 if differ else 0
+
+
 def bench(side: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
     """One run.py run: (the environment it reports, its result line)."""
     done = subprocess.run(
@@ -121,10 +167,15 @@ def summary(values: list[float]) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--pr", type=int, required=True)
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--pr", type=int)
+    mode.add_argument("--check", action="store_true",
+                      help="compare digests with the newest BENCH file; no timing")
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.check:
+        return check()
     names = args.workloads.split(",")
     if not set(names) <= set(WORKLOADS):
         parser.error("workloads must be among " + ",".join(WORKLOADS))

@@ -12,8 +12,7 @@ from .coeffs import (CoeffTable, TABLE, alpha, alpha_prime, beta, eta, gamma,
 from .errors import ConsistencyError, MathematicalAssumptionError
 from .families import (OPFamily, associated_family, gram_schmidt, green_seq,
                        legendre, legendre_recurrence_coeffs, limit_family_sym,
-                       sobolev_four_term, sobolev_higher, sobolev_three_term,
-                       sobolev_three_term_sym)
+                       sobolev_four_term, sobolev_higher, sobolev_three_term)
 from .grid import (FieldOnGrid, LevelGrid, build_grid, count_sign_changes,
                    harmonic_extend, multiharmonic_extend, restrict_edge)
 from .addresses import VertexAddress, spine_address

@@ -84,27 +84,69 @@ def check_orthogonality(maxdeg: int = 8) -> CheckResult:
                        f"families 1,2,3, chi=1, degrees <= {maxdeg}")
 
 
+def _recurrence_steps(fam):
+    """(table keys, steps) the recurrence of a recurrence-built family needs.
+    The steps are a lazy sequence of (degree, image, [(coefficient, index)])
+    with s_degree = image - sum(coefficient * s_index), read from the table
+    only once the keys are checked."""
+    maxdeg, tab = len(fam.polys) - 1, fam.recurrence
+    if fam.method == "three-term":
+        fs = green_seq(fam.family, maxdeg)
+        keys = {"a": set(range(maxdeg)), "b_tilde": set(range(1, maxdeg))}
+        steps = ((n + 1, fs[n + 1], [(tab["a"][n], n)] + (
+                  [(tab["b_tilde"][n], n - 1)] if n else []))
+                 for n in range(maxdeg))
+    elif fam.method == "four-term":
+        fs = green_seq(1, maxdeg)
+        keys = {} if maxdeg <= 2 else {name: set(range(maxdeg - 2))
+                                       for name in ("a", "b", "c", "d")}
+        steps = ((n + 3, fs[n + 3].combination(((tab["d"][n], fs[n + 2]),)),
+                  [(tab["a"][n], n + 2), (tab["b"][n], n + 1), (tab["c"][n], n)])
+                 for n in range(maxdeg - 2))
+    else:
+        m = fam.params.order
+        leg = legendre(fam.family, max(maxdeg - m, 0))
+        windows = {n: range(min(2 * m, n + m + 1)) for n in range(maxdeg - m)}
+        keys = {"a": {(n, l) for n, ls in windows.items() for l in ls}} if windows else {}
+        steps = ((n + m + 1, leg.polys[n + 1].green_power(m),
+                  [(tab["a"][(n, l)], n + m - l) for l in ls])
+                 for n, ls in windows.items())
+    return keys, steps
+
+
+def _recurrence_failure(fam) -> str:
+    """'' when the recurrence table of `fam` rebuilds its Gram-Schmidt
+    members, else where it fails.  Each member past the base cases is formed
+    from its Green image, the reported coefficients and the lower
+    Gram-Schmidt members; k=1 right-hand sides must also stay in the
+    symmetric family, with a vanishing corner normal at q0."""
+    gs = gram_schmidt(fam.params, fam.family, len(fam.polys) - 1).polys
+    if fam.polys != gs:
+        return "members differ from Gram-Schmidt"
+    keys, steps = _recurrence_steps(fam)
+    if {name: set(table) for name, table in fam.recurrence.items()} != keys:
+        return "table does not cover the recurrence windows"
+    for degree, image, terms in steps:
+        if fam.family == 1 and (image[(0, 2)] != 0 or image.normal_derivative(0) != 0):
+            return f"right-hand side of degree {degree} left the symmetric family"
+        if image.combination([(-c, gs[i]) for c, i in terms]) != gs[degree]:
+            return f"table does not rebuild s_{degree}"
+    return ""
+
+
 def check_recurrence_equivalence(maxdeg: int = 8, higher_maxdeg: int = 7) -> CheckResult:
-    """Recurrence-built families equal Gram-Schmidt coefficient-for-coefficient."""
-    params = SobolevParams.order1(1)
-    for fam in (2, 3):
-        rec = sobolev_three_term(fam, 1, maxdeg)
-        gs = gram_schmidt(params, fam, maxdeg)
-        if any(rec.polys[i] != gs.polys[i] for i in range(maxdeg + 1)):
-            return CheckResult("recurrence-equals-gram-schmidt", False,
-                               f"three-term family {fam} deviates")
-    rec1 = sobolev_four_term(1, maxdeg)
-    gs1 = gram_schmidt(params, 1, maxdeg)
-    if any(rec1.polys[i] != gs1.polys[i] for i in range(maxdeg + 1)):
-        return CheckResult("recurrence-equals-gram-schmidt", False,
-                           "four-term family 1 deviates")
+    """The recurrence tables rebuild Gram-Schmidt coefficient-for-coefficient."""
     p2 = SobolevParams.of_weights([1, 1, 1])
-    for fam in (2, 3):
-        hi = sobolev_higher(p2, fam, higher_maxdeg)
-        gs = gram_schmidt(p2, fam, higher_maxdeg)
-        if any(hi.polys[i] != gs.polys[i] for i in range(higher_maxdeg + 1)):
+    for label, build in (
+            ("three-term family 2", lambda: sobolev_three_term(2, 1, maxdeg)),
+            ("three-term family 3", lambda: sobolev_three_term(3, 1, maxdeg)),
+            ("four-term family 1", lambda: sobolev_four_term(1, maxdeg)),
+            ("order-2 recurrence family 2", lambda: sobolev_higher(p2, 2, higher_maxdeg)),
+            ("order-2 recurrence family 3", lambda: sobolev_higher(p2, 3, higher_maxdeg))):
+        failure = _recurrence_failure(build())
+        if failure:
             return CheckResult("recurrence-equals-gram-schmidt", False,
-                               f"order-2 recurrence family {fam} deviates")
+                               f"{label} deviates: {failure}")
     return CheckResult("recurrence-equals-gram-schmidt", True,
                        f"k=2,3 and k=1 to degree {maxdeg}; order-2 to degree {higher_maxdeg}")
 

@@ -110,7 +110,7 @@ def _build_family(family: int, params: SobolevParams, degree: int, method: str):
         return gram_schmidt(params, family, degree)
     if params.order >= 2:
         if family == 1:
-            # no recurrence fast path exists here; Gram-Schmidt is the answer
+            # k=1 has no order-m recurrence, so there is no table to add
             return gram_schmidt(params, family, degree)
         if params.chi[-1] == 0:
             raise UsageError(f"--chi: the order-{params.order} recurrence needs "

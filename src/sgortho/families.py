@@ -1,56 +1,67 @@
 """Construction of Legendre and Sobolev orthogonal polynomial families.
 
-Gram-Schmidt over the monomial sequence is the normative construction; the
-recurrence-based builders below are fast paths that must agree with it
-coefficient-for-coefficient (uniqueness of monic orthogonal families makes any
-disagreement a bug detector, and the test suite asserts the equality).
+Gram-Schmidt over the monomial sequence builds every family.  The paper's
+recurrences are not a second construction: the recurrence builders take
+their members and norms from the memoized Gram-Schmidt family and read each
+recurrence coefficient off it as an exact projection.
+`acceptance.check_recurrence_equivalence` tests the recurrences themselves:
+it rebuilds every member from its Green images, the reported coefficients
+and the lower members, and compares it with Gram-Schmidt.
 
 Builders:
   * gram_schmidt     -- any family, any inner-product parameters
   * legendre         -- plain L2 (the chi-independent reference family)
-  * green_seq        -- images f_t of the Legendre family under the Green
-                        operator, built both directly and via closed-form
-                        expansion coefficients (must match exactly)
+  * green_seq        -- images f_t = G p_{t-1} of the Legendre family under
+                        the Green operator, each checked to vanish at the
+                        three corners and to have Laplacian p_{t-1}
   * sobolev_three_term       -- k = 2, 3 (order-1 product):
                                 s_{n+1} + a_n s_n + b~_n s_{n-1} = f_{n+1}
   * sobolev_four_term        -- k = 1 (order-1 product):
                                 s_{n+3} + a_n s_{n+2} + b_n s_{n+1} + c_n s_n
                                     = f_{n+3} + d_n f_{n+2}
-  * sobolev_three_term_sym   -- k = 1 alternative with in-family modified
-                                right-hand sides; verified empirically against
-                                Gram-Schmidt
   * sobolev_higher           -- k = 2, 3, order m >= 2:
                                 G^m p_{n+1} = s_{n+m+1} + sum a_{n,l} s_{n+m-l}
   * associated_family        -- orthogonalized version of the {f_n}
   * limit_family_sym         -- the chi-independent large-chi limits of the
                                 k = 1 Sobolev family
 
-Every builder takes one step per degree through `_orthogonalize`: project a
-candidate (a monomial, a Green image) onto a window of earlier members,
-subtract, and keep the coefficients as the recurrence table.  The
-subtraction is one `Poly.combination` over the window, in window order: the
-integer numerators are brought to a common denominator and reduced by their
-content after each member, so no intermediate sum outgrows the reduced
-partial result.
+Gram-Schmidt takes one step per degree through `_orthogonalize`: project the
+monomial onto every earlier member and subtract, in one `Poly.combination`
+(the integer numerators are brought to a common denominator and reduced by
+their content after each member).
+
+Recurrence coefficients by projection.  Each coefficient is
+<G^m u, s_i>_{S^m} / |s_i|^2 for a Gram-Schmidt member s_i, where u is a
+Legendre polynomial p_t of the family (or, for k = 1, a combination of two).
+G is self-adjoint in L2(mu), Lap^r G^m = G^{m-r} for r <= m, and p_t is
+L2-orthogonal to every lower degree of its family.  G^{m-r} P_{d,k} is
+P_{d+m-r,k} plus Green corrections of degree below m - r, so for t >= m
+
+    <G^m p_t, s>_{S^m} = sum_j s_j sum_r chi_r nu_t(j + m - 2r),
+    nu_t(d) = <p_t, P_{d,k}>_2,  which is 0 for d < t.
+
+Only the top 2m or so coefficients of s enter, and each build computes every
+nu_t(d) once, so a coefficient costs a few rational products instead of a
+dense product.  For
+k = 1, G leaves the family through P_{0,2} (G P_{l,1} = P_{l+1,1} +
+2 alpha_{l+1} P_{0,2}), so the r = 0 term gains sigma(s) <u, P_{0,2}>_2 with
+sigma(s) the P_{0,2} coefficient of G s; the four-term d_n is chosen to make
+<u, P_{0,2}>_2 vanish (see sobolev_four_term).  The first steps, where
+t < m, take the dense product of G^m u with s_i.
 
 Squared norms come from the leading monomial: a monic s_n orthogonal to
 every lower degree of its family has |s_n|^2 = <s_n, P_{n,k}>, a product
-against one monomial instead of a dense <s_n, s_n>.  gram_schmidt,
-sobolev_three_term, sobolev_four_term and sobolev_higher use it; their
-members are monic and the test suite checks them against Gram-Schmidt.
-sobolev_three_term_sym keeps <s_n, s_n>: its recurrence is verified only
-empirically, and a member that fails the check need not be orthogonal to
-the lower degrees.  associated_family keeps it too, because its members are
-not monic over the span of the lower degrees.
+against one monomial instead of a dense <s_n, s_n>.  associated_family keeps
+<s_n, s_n>, because its members are not monic over the span of the lower
+degrees.
 
 Gram-Schmidt families (Legendre among them) and Green images are memoized
-per (params, family) and per family, extended on demand under one lock; each
-f_t is checked against its closed form once, when first built.  Every call
-returns fresh lists, so callers may modify results freely.
+per (params, family) and per family, extended on demand under one lock.  Every call returns
+fresh lists, so callers may modify results freely.
 
-The k=1 four-term path divides by the corner normal derivative of f_{t}; that
-quantity vanishing would break the construction, so it is asserted at every
-step and a violation raises MathematicalAssumptionError.
+The k=1 four-term table divides by the corner normal derivative of f_{n+2};
+that quantity vanishing would break the recurrence, so it is asserted at
+every step and a violation raises MathematicalAssumptionError.
 """
 
 from __future__ import annotations
@@ -58,7 +69,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from .coeffs import TABLE
 from .errors import ConsistencyError, MathematicalAssumptionError
 from .inner import SobolevParams, extended_inner, mono_inner_l2, poly_inner
 from .poly import Poly
@@ -73,7 +83,7 @@ class OPFamily:
 
     polys[n] is the unique monic degree-n polynomial of the family orthogonal
     to all lower degrees under `params`; norms_sq[n] is its exact squared norm.
-    Recurrence-built families carry their coefficient tables in `recurrence`.
+    The recurrence builders add their coefficient tables in `recurrence`.
     Every builder call returns a new instance with its own lists.
     """
 
@@ -93,15 +103,9 @@ class OPFamily:
         return True
 
     def to_json_dict(self) -> dict:
-        rec = {}
-        for name, table in self.recurrence.items():
-            if isinstance(table, dict):
-                rec[name] = {
-                    (",".join(map(str, k)) if isinstance(k, tuple) else str(k)):
-                    rat_str(v) for k, v in sorted(table.items())
-                }
-            else:
-                rec[name] = table
+        rec = {name: {(",".join(map(str, k)) if isinstance(k, tuple) else str(k)):
+                      rat_str(v) for k, v in sorted(table.items())}
+               for name, table in self.recurrence.items()}
         return {
             "family": self.family,
             "params": self.params.to_json_dict(),
@@ -157,36 +161,71 @@ def legendre(family: int, maxdeg: int) -> OPFamily:
     return fam
 
 
-def _zeta(family: int, leg_poly: Poly):
-    """Harmonic-correction coefficient of the Green image of a Legendre polynomial."""
-    if family == 1:
-        return leg_poly.linear_form(lambda idx: 2 * TABLE.alpha(idx[0] + 1))
-    if family == 2:
-        return leg_poly.linear_form(lambda idx: 2 * TABLE.beta(idx[0] + 1))
-    return leg_poly.linear_form(lambda idx: -2 * TABLE.gamma(idx[0] + 1))
-
-
 def green_seq(family: int, count: int) -> list[Poly]:
     """[f_0, ..., f_count] with f_0 = 0 and f_t the Green image of p_{t-1}.
 
-    Each f_t is computed twice: by applying the Green operator and via the
-    closed-form expansion (degree shift of the Legendre coefficients plus the
-    harmonic correction).  Any mismatch is a fatal consistency error.
+    Each f_t is checked against the two properties that define the Dirichlet
+    Green image, independently of how `Poly.green` computes it: it vanishes
+    at the three corners and its Laplacian is p_{t-1}.  A failure is a fatal
+    consistency error.
     """
-    corr_index = (0, 3) if family == 3 else (0, 2)
     with _lock:
         out = _green.setdefault(family, [Poly.zero()])
         leg = legendre(family, max(count - 1, 0))
         for t in range(len(out), count + 1):
             p = leg.polys[t - 1]
-            direct = p.green()
-            shifted = {(l + 1, k): w for (l, k), w in p.coeffs.items()}
-            shifted[corr_index] = _zeta(family, p)
-            if direct != Poly(shifted):
-                raise ConsistencyError(f"Green image of degree {t - 1} disagrees "
-                                       "with its closed-form expansion")
-            out.append(direct)
+            f = p.green()
+            if any(f.boundary_value(v) != 0 for v in (0, 1, 2)) or f.laplacian() != p:
+                raise ConsistencyError(f"Green image of degree {t - 1} is not "
+                                       "the Dirichlet solution of Lap f = p")
+            out.append(f)
         return out[:count + 1]
+
+
+def _moments(leg: list[Poly], family: int):
+    """nu(t, d) = <p_t, P_{d,family}>_2 for the Legendre p_t = leg[t], each
+    computed once; it is 0 for d < t, since p_t is orthogonal to every lower
+    degree of its family."""
+    memo = {}
+
+    def nu(t: int, d: int):
+        if d < t:
+            return ZERO
+        if (t, d) not in memo:
+            memo[t, d] = leg[t].linear_form(lambda idx: mono_inner_l2(idx, (d, family)))
+        return memo[t, d]
+    return nu
+
+
+def _green_projections(params: SobolevParams, leg: list[Poly], nu, u,
+                       polys: list[Poly], norms: list, window) -> list:
+    """[<G^m u, polys[i]>_{S^m} / norms[i] for i in window], where
+    u = sum(w * leg[t] for t, w in u), m = params.order and nu = _moments(leg, k).
+
+    With every t >= m this is the moment form of the module docstring; the
+    out-of-family k = 1 term sigma(s) <u, P_{0,2}>_2 is left out, so a k = 1
+    caller must make <u, P_{0,2}>_2 vanish.  Otherwise it is the dense
+    product of G^m u with each member.
+    """
+    m = params.order
+    low = min(t for t, _ in u)
+    if low < m:
+        image = Poly.zero().combination([(w, leg[t].green_power(m)) for t, w in u])
+        return [poly_inner(params, image, polys[i]) / norms[i] for i in window]
+
+    def moment(d):  # <u, P_{d,k}>_2
+        return sum((w * nu(t, d) for t, w in u), ZERO)
+
+    out = []
+    for i in window:
+        s = polys[i]
+        total = ZERO
+        for r, chi in enumerate(params.chi):
+            if chi:
+                total += chi * sum((x * moment(j + m - 2 * r) for (j, _), x
+                                    in s.nums.items() if j + m - 2 * r >= low), ZERO)
+        out.append(total / s.den / norms[i])
+    return out
 
 
 def legendre_recurrence_coeffs(family: int, n: int):
@@ -203,24 +242,25 @@ def legendre_recurrence_coeffs(family: int, n: int):
 
 
 def sobolev_three_term(family: int, chi, maxdeg: int) -> OPFamily:
-    """k = 2 or 3 Sobolev family via s_{n+1} = f_{n+1} - a_n s_n - b~_n s_{n-1}."""
+    """k = 2 or 3 Sobolev family with the table of
+    s_{n+1} = f_{n+1} - a_n s_n - b~_n s_{n-1}, read off by projection."""
     if family not in (2, 3):
         raise ValueError("three-term recurrence applies to families 2 and 3")
     params = SobolevParams.order1(chi)
-    base = gram_schmidt(params, family, min(1, maxdeg))
-    polys, norms = base.polys, base.norms_sq
-    fs = green_seq(family, maxdeg)
+    fam = gram_schmidt(params, family, maxdeg)
+    leg = legendre(family, max(maxdeg - 1, 0)).polys
+    nu = _moments(leg, family)
     a: dict[int, object] = {}
     b_tilde: dict[int, object] = {}
-    if maxdeg >= 1:
-        _, (a[0],) = _orthogonalize(params, fs[1], polys, norms, (0,))
-    for n in range(1, maxdeg):
-        s_next, (a[n], b_tilde[n]) = _orthogonalize(params, fs[n + 1], polys,
-                                                    norms, (n, n - 1))
-        polys.append(s_next)
-        norms.append(_leading_norm(params, s_next, family))
-    return OPFamily(family=family, params=params, polys=polys, norms_sq=norms,
-                    method="three-term", recurrence={"a": a, "b_tilde": b_tilde})
+    for n in range(maxdeg):
+        coefs = _green_projections(params, leg, nu, ((n, 1),), fam.polys,
+                                   fam.norms_sq, (n, n - 1) if n else (0,))
+        a[n] = coefs[0]
+        if n:
+            b_tilde[n] = coefs[1]
+    fam.method = "three-term"
+    fam.recurrence = {"a": a, "b_tilde": b_tilde}
+    return fam
 
 
 def corner_normal_of_green_image(t: int):
@@ -236,97 +276,50 @@ def corner_normal_of_green_image(t: int):
 
 
 def sobolev_four_term(chi, maxdeg: int) -> OPFamily:
-    """k = 1 Sobolev family via the four-term recurrence with Green images.
+    """k = 1 Sobolev family with the four-term table, read off by projection.
 
-    The degree-raising step must stay inside the symmetric family, which
-    requires cancelling the corner normal derivative between f_{n+3} and
-    f_{n+2}; the divisor vanishing raises MathematicalAssumptionError.
+    The right-hand side f_{n+3} + d_n f_{n+2} = G u, u = p_{n+2} + d_n p_{n+1},
+    must stay inside the symmetric family, which requires cancelling the
+    corner normal derivative between f_{n+3} and f_{n+2}; the divisor
+    vanishing raises MathematicalAssumptionError.
     """
     params = SobolevParams.order1(chi)
-    base = gram_schmidt(params, 1, min(2, maxdeg))
-    polys, norms = base.polys, base.norms_sq
+    fam = gram_schmidt(params, 1, maxdeg)
+    fam.method = "four-term"
     if maxdeg <= 2:
-        return OPFamily(family=1, params=params, polys=polys, norms_sq=norms,
-                        method="four-term")
-    leg = legendre(1, maxdeg - 1)
+        return fam
+    leg = legendre(1, maxdeg - 1).polys
+    nu = _moments(leg, 1)
     fs = green_seq(1, maxdeg)
+    normals = {}
+    for t in range(2, maxdeg + 1):
+        normals[t] = fs[t].normal_derivative(0)
+        if normals[t] != corner_normal_of_green_image(t):
+            raise ConsistencyError("corner normal of a Green image disagrees "
+                                   "with its projection formula")
     a: dict[int, object] = {}
     b: dict[int, object] = {}
     c: dict[int, object] = {}
     d: dict[int, object] = {}
     for n in range(maxdeg - 2):
-        dn_hi = fs[n + 3].normal_derivative(0)
-        dn_lo = fs[n + 2].normal_derivative(0)
-        if dn_hi != corner_normal_of_green_image(n + 3) or \
-           dn_lo != corner_normal_of_green_image(n + 2):
-            raise ConsistencyError("corner normal of a Green image disagrees "
-                                   "with its projection formula")
-        if dn_lo == 0:
+        if normals[n + 2] == 0:
             raise MathematicalAssumptionError(
                 f"corner normal derivative of f_{n + 2} vanishes; "
                 "the symmetric-family recurrence breaks down")
-        d[n] = -dn_hi / dn_lo
-        rhs = fs[n + 3].combination(((d[n], fs[n + 2]),))
-        if rhs[(0, 2)] != 0:
-            raise ConsistencyError("combined right-hand side left the symmetric family")
-        # rhs has zero corner normals, so integrating by parts against the monic
-        # antiderivative of s_n gives <rhs, s_n>_S = +d_n |p_{n+1}|^2 exactly.
-        c[n] = d[n] * leg.norms_sq[n + 1] / norms[n]
-        s_next, (a[n], b[n]) = _orthogonalize(params, rhs, polys, norms,
-                                              (n + 2, n + 1))
-        s_next = s_next.combination(((-c[n], polys[n]),))
-        polys.append(s_next)
-        norms.append(_leading_norm(params, s_next, 1))
-    return OPFamily(family=1, params=params, polys=polys, norms_sq=norms,
-                    method="four-term",
-                    recurrence={"a": a, "b": b, "c": c, "d": d})
-
-
-def green_seq_sym_infamily(count: int) -> list[Poly]:
-    """Modified Green images for k = 1 that stay inside the symmetric family.
-
-    The out-of-family harmonic correction of f_t is replaced by a constant
-    multiple of P_{0,1} with coefficient -sum_l w_l alpha_{l+1}.
-    """
-    leg = legendre(1, max(count - 1, 0))
-    out = [Poly.zero()]
-    for t in range(1, count + 1):
-        p = leg.polys[t - 1]
-        shifted = {(l + 1, 1): w for (l, _k), w in p.coeffs.items()}
-        shifted[(0, 1)] = -p.linear_form(lambda idx: TABLE.alpha(idx[0] + 1))
-        out.append(Poly(shifted))
-    return out
-
-
-def sobolev_three_term_sym(chi, maxdeg: int) -> tuple[OPFamily, bool]:
-    """k = 1 family via the three-term recurrence with in-family images.
-
-    Returns (family, verified): `verified` reports exact agreement with the
-    Gram-Schmidt construction, which remains the ground truth.  Disagreement
-    is reported, not fatal.
-    """
-    params = SobolevParams.order1(chi)
-    base = gram_schmidt(params, 1, min(1, maxdeg))
-    polys, norms = base.polys, base.norms_sq
-    fts = green_seq_sym_infamily(maxdeg)
-    a: dict[int, object] = {}
-    b: dict[int, object] = {}
-    for n in range(1, maxdeg):
-        s_next, (a[n], b[n]) = _orthogonalize(params, fts[n + 1], polys, norms,
-                                              (n, n - 1))
-        polys.append(s_next)
-        norms.append(extended_inner(params, s_next, s_next))
-    fam = OPFamily(family=1, params=params, polys=polys, norms_sq=norms,
-                   method="three-term-sym", recurrence={"a": a, "b": b})
-    reference = gram_schmidt(params, 1, maxdeg)
-    verified = all(fam.polys[n] == reference.polys[n] for n in range(maxdeg + 1))
-    fam.recurrence["verified_against_gram_schmidt"] = verified
-    return fam, verified
+        d[n] = -normals[n + 3] / normals[n + 2]
+        # the corner normal of G u is 2 <u, P_{0,2}>_2, so d_n makes the
+        # out-of-family term that _green_projections leaves out vanish
+        a[n], b[n], c[n] = _green_projections(
+            params, leg, nu, ((n + 2, 1), (n + 1, d[n])), fam.polys,
+            fam.norms_sq, (n + 2, n + 1, n))
+    fam.recurrence = {"a": a, "b": b, "c": c, "d": d}
+    return fam
 
 
 def sobolev_higher(params: SobolevParams, family: int, maxdeg: int) -> OPFamily:
-    """k = 2 or 3 family for an order-m product (m >= 2) via the generalized
-    recurrence driven by m-fold Green images of the Legendre family."""
+    """k = 2 or 3 family for an order-m product (m >= 2) with the table of
+    the generalized recurrence driven by m-fold Green images of the Legendre
+    family, read off by projection."""
     if family not in (2, 3):
         raise ValueError("generalized recurrence applies to families 2 and 3")
     m = params.order
@@ -334,22 +327,23 @@ def sobolev_higher(params: SobolevParams, family: int, maxdeg: int) -> OPFamily:
         raise ValueError("higher recurrence needs order >= 2")
     if params.chi[m] <= 0:
         raise ValueError("top Sobolev weight must be positive")
-    base = gram_schmidt(params, family, min(m, maxdeg))
-    polys, norms = base.polys, base.norms_sq
+    if params.energy_weights or params.boundary_matrices:
+        raise ValueError("higher recurrence needs a plain order-m product "
+                         "(no energy or corner terms)")
+    fam = gram_schmidt(params, family, maxdeg)
+    fam.method = "higher-recurrence"
     if maxdeg <= m:
-        return OPFamily(family=family, params=params, polys=polys,
-                        norms_sq=norms, method="higher-recurrence")
-    leg = legendre(family, maxdeg - m)
+        return fam
+    leg = legendre(family, maxdeg - m).polys
+    nu = _moments(leg, family)
     a: dict[tuple[int, int], object] = {}
     for n in range(maxdeg - m):
         ls = range(min(2 * m, n + m + 1))
-        s_next, coefs = _orthogonalize(params, leg.polys[n + 1].green_power(m),
-                                       polys, norms, [n + m - l for l in ls])
+        coefs = _green_projections(params, leg, nu, ((n + 1, 1),), fam.polys,
+                                   fam.norms_sq, [n + m - l for l in ls])
         a.update(zip(((n, l) for l in ls), coefs))
-        polys.append(s_next)
-        norms.append(_leading_norm(params, s_next, family))
-    return OPFamily(family=family, params=params, polys=polys, norms_sq=norms,
-                    method="higher-recurrence", recurrence={"a": a})
+    fam.recurrence = {"a": a}
+    return fam
 
 
 def associated_family(chi, family: int, maxdeg: int) -> OPFamily:

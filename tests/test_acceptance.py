@@ -15,6 +15,7 @@ pass right next to them and the equalities themselves are asserted:
 """
 
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -49,6 +50,33 @@ def test_criterion_02_recurrence_equals_gram_schmidt():
     result = _run(acceptance.check_recurrence_equivalence,
                   "criterion-2 recurrence = gram-schmidt")
     assert result.passed, result.detail
+
+
+@pytest.mark.parametrize("builder,table,key,change", [
+    ("sobolev_three_term", "a", 0, "perturb"),
+    ("sobolev_three_term", "b_tilde", 5, "perturb"),
+    ("sobolev_four_term", "a", 5, "perturb"),
+    ("sobolev_four_term", "c", 0, "perturb"),
+    ("sobolev_four_term", "d", 3, "perturb"),
+    ("sobolev_higher", "a", (4, 3), "perturb"),
+    ("sobolev_higher", "a", (4, 3), "drop"),
+])
+def test_criterion_02_fails_on_a_wrong_coefficient(monkeypatch, builder, table,
+                                                   key, change):
+    build = getattr(acceptance, builder)
+
+    def wrong(*args):
+        fam = build(*args)
+        if change == "drop":
+            del fam.recurrence[table][key]
+        else:
+            fam.recurrence[table][key] += Fraction(1, 10**9)
+        return fam
+
+    monkeypatch.setattr(acceptance, builder, wrong)
+    result = acceptance.check_recurrence_equivalence()
+    assert not result.passed
+    assert "deviates" in result.detail
 
 
 def test_criterion_03_ode_identities():

@@ -4,18 +4,86 @@ from fractions import Fraction as F
 
 import pytest
 
+from sgortho import families, poly
 from sgortho.coeffs import alpha, beta
-from sgortho.families import (associated_family, gram_schmidt, green_seq,
-                              legendre, legendre_recurrence_coeffs,
-                              limit_family_sym, sobolev_four_term,
-                              sobolev_higher, sobolev_three_term,
-                              sobolev_three_term_sym)
+from sgortho.errors import ConsistencyError
+from sgortho.families import (associated_family, corner_normal_of_green_image,
+                              gram_schmidt, green_seq, legendre,
+                              legendre_recurrence_coeffs, limit_family_sym,
+                              sobolev_four_term, sobolev_higher,
+                              sobolev_three_term)
 from sgortho.inner import (SobolevParams, extended_inner, mono_inner_l2,
                            poly_inner)
 from sgortho.poly import Poly
 
 L2 = SobolevParams.l2()
 S1 = SobolevParams.order1(1)
+
+
+def _project(params, f, polys, norms, window):
+    """f minus its projections onto polys[i], i in window, and the
+    coefficients <f, polys[i]> / norms[i], by dense products."""
+    coefs = [poly_inner(params, f, polys[i]) / norms[i] for i in window]
+    return f.combination([(-c, polys[i]) for i, c in zip(window, coefs)]), coefs
+
+
+def _step_by_step(family, params, maxdeg):
+    """(polys, norms, recurrence table) of the Sobolev family built one
+    recurrence step at a time from Green images and the members built so
+    far: the construction the recurrence builders used before they read
+    their tables off Gram-Schmidt, kept as their oracle."""
+    m = params.order
+    base = 2 if family == 1 else m
+    start = gram_schmidt(params, family, min(base, maxdeg))
+    polys, norms = start.polys, start.norms_sq
+    table = {}
+
+    def add(s):
+        polys.append(s)
+        norms.append(poly_inner(params, s, s))
+
+    if m == 1 and family != 1:
+        fs = green_seq(family, maxdeg)
+        table = {"a": {}, "b_tilde": {}}
+        if maxdeg >= 1:
+            _, (table["a"][0],) = _project(params, fs[1], polys, norms, (0,))
+        for n in range(1, maxdeg):
+            s, (table["a"][n], table["b_tilde"][n]) = _project(
+                params, fs[n + 1], polys, norms, (n, n - 1))
+            add(s)
+    elif m == 1 and maxdeg > 2:
+        leg = legendre(1, maxdeg - 1)
+        fs = green_seq(1, maxdeg)
+        table = {"a": {}, "b": {}, "c": {}, "d": {}}
+        for n in range(maxdeg - 2):
+            hi, lo = fs[n + 3].normal_derivative(0), fs[n + 2].normal_derivative(0)
+            assert hi == corner_normal_of_green_image(n + 3)
+            assert lo == corner_normal_of_green_image(n + 2) != 0
+            d = table["d"][n] = -hi / lo
+            rhs = fs[n + 3].combination(((d, fs[n + 2]),))
+            assert rhs[(0, 2)] == 0
+            c = table["c"][n] = d * leg.norms_sq[n + 1] / norms[n]
+            s, (table["a"][n], table["b"][n]) = _project(params, rhs, polys, norms,
+                                                         (n + 2, n + 1))
+            add(s.combination(((-c, polys[n]),)))
+    elif m >= 2 and maxdeg > m:
+        leg = legendre(family, maxdeg - m)
+        table = {"a": {}}
+        for n in range(maxdeg - m):
+            ls = range(min(2 * m, n + m + 1))
+            s, coefs = _project(params, leg.polys[n + 1].green_power(m), polys,
+                                norms, [n + m - l for l in ls])
+            table["a"].update(zip(((n, l) for l in ls), coefs))
+            add(s)
+    return polys, norms, table
+
+
+def _build(family, params, maxdeg):
+    if params.order >= 2:
+        return sobolev_higher(params, family, maxdeg)
+    if family == 1:
+        return sobolev_four_term(params.chi[1], maxdeg)
+    return sobolev_three_term(family, params.chi[1], maxdeg)
 
 
 def test_gram_schmidt_base_cases():
@@ -62,6 +130,22 @@ def test_green_seq_examples_and_consistency():
         assert fs3[t].normal_derivative(1) == 0
 
 
+@pytest.mark.parametrize("family,correction", [(2, "_symmetric_correction"),
+                                               (3, "_antisymmetric_correction")])
+def test_green_seq_catches_a_wrong_green_correction(monkeypatch, family, correction):
+    # make the harmonic correction of Poly.green wrong by a factor of 2
+    right = getattr(poly, correction)
+    monkeypatch.setattr(poly, correction, lambda idx: 2 * right(idx))
+    monkeypatch.setattr(families, "_green", {})
+    # a closed form that shares the correction sum agrees with the wrong image
+    p = legendre(family, 3).polys[3]
+    closed = {(l + 1, k): w for (l, k), w in p.coeffs.items()}
+    closed[(0, family)] = p.linear_form(getattr(poly, correction))
+    assert p.green() == Poly(closed)
+    with pytest.raises(ConsistencyError):
+        green_seq(family, 4)
+
+
 def test_green_images_are_monic_and_orthogonal_to_low_degrees():
     for fam in (1, 2, 3):
         leg = legendre(fam, 6)
@@ -86,12 +170,14 @@ def test_gauss_green_canary_coefficient_identity():
 
 
 def test_three_term_equals_gram_schmidt():
+    # the recurrence, run step by step, reproduces Gram-Schmidt
     for fam in (2, 3):
         for chi in (F(1), F(3, 7)):
-            rec = sobolev_three_term(fam, chi, 8)
-            gs = gram_schmidt(SobolevParams.order1(chi), fam, 8)
-            assert rec.polys == gs.polys
-            assert rec.norms_sq == gs.norms_sq
+            params = SobolevParams.order1(chi)
+            polys, norms, _ = _step_by_step(fam, params, 8)
+            gs = gram_schmidt(params, fam, 8)
+            assert polys == gs.polys
+            assert norms == gs.norms_sq
 
 
 def test_three_term_coefficient_identities():
@@ -117,9 +203,9 @@ def test_legendre_recurrence_coeffs():
 
 def test_four_term_equals_gram_schmidt():
     for chi in (F(1), F(2, 5)):
-        rec = sobolev_four_term(chi, 8)
-        gs = gram_schmidt(SobolevParams.order1(chi), 1, 8)
-        assert rec.polys == gs.polys
+        params = SobolevParams.order1(chi)
+        polys, _, _ = _step_by_step(1, params, 8)
+        assert polys == gram_schmidt(params, 1, 8).polys
 
 
 def test_four_term_coefficient_identities():
@@ -145,27 +231,40 @@ def test_four_term_corner_combination():
     assert fs[1].normal_derivative(0) + 2 * fs[1].normal_derivative(1) == 1
 
 
-def test_three_term_sym_matches_gram_schmidt():
-    fam, verified = sobolev_three_term_sym(1, 6)
-    assert verified
-    alt = fam.recurrence["verified_against_gram_schmidt"]
-    assert alt is True
-    fs = green_seq(1, 1)
-    tilde1 = Poly({(1, 1): F(1), (0, 1): -alpha(1)})
-    from sgortho.families import green_seq_sym_infamily
-    assert green_seq_sym_infamily(1)[1] == tilde1
-
-
 def test_higher_recurrence_matches_gram_schmidt():
     params = SobolevParams.of_weights([1, 1, 1])
     for fam in (2, 3):
-        hi = sobolev_higher(params, fam, 7)
-        gs = gram_schmidt(params, fam, 7)
-        assert hi.polys == gs.polys
+        polys, _, _ = _step_by_step(fam, params, 7)
+        assert polys == gram_schmidt(params, fam, 7).polys
     with pytest.raises(ValueError):
         sobolev_higher(S1, 2, 4)
     with pytest.raises(ValueError):
         sobolev_higher(params, 1, 4)
+    with pytest.raises(ValueError):
+        sobolev_higher(SobolevParams.of_weights([1, 1, 0]), 2, 4)
+    with pytest.raises(ValueError):
+        sobolev_higher(SobolevParams(order=2, chi=(1, 1, 1), energy_weights=(1,)), 2, 4)
+
+
+def _weights(order, chi):
+    """chi_0..chi_m = 1, chi, ..., chi; for chi = 0 the top weight is 1, so
+    every weight between the ends is zero."""
+    if order >= 2 and chi == 0:
+        return (1,) + (0,) * (order - 1) + (1,)
+    return (1,) + (chi,) * order
+
+
+@pytest.mark.parametrize("family,order", [(1, 1), (2, 1), (3, 1), (2, 2),
+                                          (3, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("chi", [F(0), F(1), F(3, 8), F(9, 7), F(100)], ids=str)
+def test_recurrence_tables_match_step_by_step(family, order, chi):
+    params = SobolevParams.of_weights(_weights(order, chi))
+    for maxdeg in range(13):
+        built = _build(family, params, maxdeg)
+        polys, norms, table = _step_by_step(family, params, maxdeg)
+        assert built.recurrence == table
+        assert built.polys == polys
+        assert built.norms_sq == norms
 
 
 def test_higher_recurrence_uses_2m_trailing_terms():
@@ -330,17 +429,17 @@ def test_returned_families_do_not_share_state():
     fs = green_seq(2, 3)
     fs.append(Poly.zero())
     assert len(green_seq(2, 3)) == 4
-    # sobolev_three_term_sym writes its verdict into its own recurrence table
-    sym, verified = sobolev_three_term_sym(1, 4)
-    assert verified and sym.recurrence["verified_against_gram_schmidt"] is True
+    # the recurrence builders write their tables into their own instances
+    rec = sobolev_four_term(1, 4)
+    rec.recurrence["a"][0] = F(0)
+    assert sobolev_four_term(1, 4).recurrence["a"][0] != 0
     assert gram_schmidt(S1, 1, 4).recurrence == {}
+    assert gram_schmidt(S1, 1, 4).method == "gram-schmidt"
 
 
 def test_concurrent_builders_match_serial(monkeypatch):
     import sys
     import threading
-
-    from sgortho import families
 
     jobs = [lambda: legendre(3, 7), lambda: sobolev_three_term(3, F(2, 3), 7),
             lambda: legendre(2, 6), lambda: sobolev_three_term(2, 1, 6)]
