@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 from .coeffs import TABLE
 from .families import (associated_family, gram_schmidt, green_seq, legendre,
-                       sobolev_four_term, sobolev_higher, sobolev_three_term)
+                       recurrence_steps, sobolev_four_term, sobolev_higher,
+                       sobolev_three_term, step_weights)
 from .grid import count_sign_changes, restrict_edge
 from .inner import SobolevParams, mono_inner_l2, poly_inner
 from .interp import (degenerate_spine_nodes, eval_monomial_at,
@@ -84,52 +85,29 @@ def check_orthogonality(maxdeg: int = 8) -> CheckResult:
                        f"families 1,2,3, chi=1, degrees <= {maxdeg}")
 
 
-def _recurrence_steps(fam):
-    """(table keys, steps) the recurrence of a recurrence-built family needs.
-    The steps are a lazy sequence of (degree, image, [(coefficient, index)])
-    with s_degree = image - sum(coefficient * s_index), read from the table
-    only once the keys are checked."""
-    maxdeg, tab = len(fam.polys) - 1, fam.recurrence
-    if fam.method == "three-term":
-        fs = green_seq(fam.family, maxdeg)
-        keys = {"a": set(range(maxdeg)), "b_tilde": set(range(1, maxdeg))}
-        steps = ((n + 1, fs[n + 1], [(tab["a"][n], n)] + (
-                  [(tab["b_tilde"][n], n - 1)] if n else []))
-                 for n in range(maxdeg))
-    elif fam.method == "four-term":
-        fs = green_seq(1, maxdeg)
-        keys = {} if maxdeg <= 2 else {name: set(range(maxdeg - 2))
-                                       for name in ("a", "b", "c", "d")}
-        steps = ((n + 3, fs[n + 3].combination(((tab["d"][n], fs[n + 2]),)),
-                  [(tab["a"][n], n + 2), (tab["b"][n], n + 1), (tab["c"][n], n)])
-                 for n in range(maxdeg - 2))
-    else:
-        m = fam.params.order
-        leg = legendre(fam.family, max(maxdeg - m, 0))
-        windows = {n: range(min(2 * m, n + m + 1)) for n in range(maxdeg - m)}
-        keys = {"a": {(n, l) for n, ls in windows.items() for l in ls}} if windows else {}
-        steps = ((n + m + 1, leg.polys[n + 1].green_power(m),
-                  [(tab["a"][(n, l)], n + m - l) for l in ls])
-                 for n, ls in windows.items())
-    return keys, steps
-
-
 def _recurrence_failure(fam) -> str:
     """'' when the recurrence table of `fam` rebuilds its Gram-Schmidt
-    members, else where it fails.  Each member past the base cases is formed
-    from its Green image, the reported coefficients and the lower
-    Gram-Schmidt members; k=1 right-hand sides must also stay in the
+    members, else where it fails.  Each member a recurrence step produces is
+    formed from the step's Green image, the reported coefficients and the
+    lower Gram-Schmidt members; k=1 right-hand sides must also stay in the
     symmetric family, with a vanishing corner normal at q0."""
-    gs = gram_schmidt(fam.params, fam.family, len(fam.polys) - 1).polys
+    maxdeg, m, tab = len(fam.polys) - 1, fam.params.order, fam.recurrence
+    gs = gram_schmidt(fam.params, fam.family, maxdeg).polys
     if fam.polys != gs:
         return "members differ from Gram-Schmidt"
-    keys, steps = _recurrence_steps(fam)
-    if {name: set(table) for name, table in fam.recurrence.items()} != keys:
+    steps = recurrence_steps(fam.method, m, maxdeg)
+    named = {ref for _, u, entries in steps
+             for ref in [r for _, r in u if r] + [e[:2] for e in entries]}
+    if {(name, key) for name, table in tab.items() for key in table} != named:
         return "table does not cover the recurrence windows"
-    for degree, image, terms in steps:
+    leg = legendre(fam.family, max(maxdeg - 1, 0)).polys
+    for degree, u, entries in steps:
+        image = Poly.zero().combination([(w, leg[t].green_power(m))
+                                         for t, w in step_weights(u, tab)])
         if fam.family == 1 and (image[(0, 2)] != 0 or image.normal_derivative(0) != 0):
             return f"right-hand side of degree {degree} left the symmetric family"
-        if image.combination([(-c, gs[i]) for c, i in terms]) != gs[degree]:
+        if image.combination([(-tab[name][key], gs[i])
+                              for name, key, i in entries]) != gs[degree]:
             return f"table does not rebuild s_{degree}"
     return ""
 
@@ -170,14 +148,19 @@ def check_ode_identities(nmax: int = 6, higher_nmax: int = 4) -> CheckResult:
 
 
 def check_coefficient_identities(nmax: int = 8) -> CheckResult:
-    """b~_n = |p_n|^2/|s_{n-1}|^2 > 0 and c_n = |p_n|^2/|p_{n-1}|^2, exactly."""
+    """b~_n = <f_{n+1}, s_{n-1}>_S/|s_{n-1}|_S^2 = |p_n|_2^2/|s_{n-1}|_S^2 > 0 and
+    c_n = |p_n|^2/|p_{n-1}|^2, exactly, against dense products."""
     for fam in (2, 3):
         sob = sobolev_three_term(fam, 1, nmax + 1)
         leg = legendre(fam, nmax + 1)
         fs = green_seq(fam, nmax + 1)
         for n in range(1, nmax + 1):
             bt = sob.recurrence["b_tilde"][n]
-            if bt != leg.norms_sq[n] / sob.norms_sq[n - 1] or bt <= 0:
+            s = sob.polys[n - 1]
+            ss = poly_inner(sob.params, s, s)
+            p = leg.polys[n]
+            if not (bt == poly_inner(sob.params, fs[n + 1], s) / ss
+                    == poly_inner(L2, p, p) / ss > 0):
                 return CheckResult("coefficient-identities", False,
                                    f"b~_{n} family {fam}")
         for n in range(2, nmax + 1):

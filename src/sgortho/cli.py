@@ -315,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", type=_weights, help="weights chi_1..chi_m (default 1)")
     p.add_argument("--method", choices=("recurrence", "gram-schmidt"),
                    default="recurrence")
-    p.add_argument("--format", choices=("json",), default="json")
     add_common(p, digits=False)
     p.set_defaults(fn=cmd_ops)
 
@@ -379,10 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the exact property suite and print a "
                                       "pass/fail table")
-    p.add_argument("--quick", action="store_true",
-                   help="skip the solver-based checks")
-    p.add_argument("--zero-level", type=_size, default=5,
-                   help="grid level for the zero-count report")
+    # the zero-count report is one of the solver-based checks --quick skips
+    quick_or_level = p.add_mutually_exclusive_group()
+    quick_or_level.add_argument("--quick", action="store_true",
+                                help="skip the solver-based checks")
+    quick_or_level.add_argument("--zero-level", type=_size, default=5,
+                                help="grid level for the zero-count report")
     add_common(p, digits=False)
     p.set_defaults(fn=cmd_verify)
 

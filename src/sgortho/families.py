@@ -4,9 +4,11 @@ Gram-Schmidt over the monomial sequence builds every family.  The paper's
 recurrences are not a second construction: the recurrence builders take
 their members and norms from the memoized Gram-Schmidt family and read each
 recurrence coefficient off it as an exact projection.
-`acceptance.check_recurrence_equivalence` tests the recurrences themselves:
-it rebuilds every member from its Green images, the reported coefficients
-and the lower members, and compares it with Gram-Schmidt.
+
+`recurrence_steps` is the one definition of each recurrence.  The builders
+fill their tables from its steps, and `acceptance.check_recurrence_equivalence`
+rebuilds every member from the same steps (its Green image, the reported
+coefficients and the lower members) and compares it with Gram-Schmidt.
 
 Builders:
   * gram_schmidt     -- any family, any inner-product parameters
@@ -14,13 +16,9 @@ Builders:
   * green_seq        -- images f_t = G p_{t-1} of the Legendre family under
                         the Green operator, each checked to vanish at the
                         three corners and to have Laplacian p_{t-1}
-  * sobolev_three_term       -- k = 2, 3 (order-1 product):
-                                s_{n+1} + a_n s_n + b~_n s_{n-1} = f_{n+1}
-  * sobolev_four_term        -- k = 1 (order-1 product):
-                                s_{n+3} + a_n s_{n+2} + b_n s_{n+1} + c_n s_n
-                                    = f_{n+3} + d_n f_{n+2}
-  * sobolev_higher           -- k = 2, 3, order m >= 2:
-                                G^m p_{n+1} = s_{n+m+1} + sum a_{n,l} s_{n+m-l}
+  * sobolev_three_term       -- k = 2, 3, order-1 product, three-term table
+  * sobolev_four_term        -- k = 1, order-1 product, four-term table
+  * sobolev_higher           -- k = 2, 3, order m >= 2, 2m-term table
   * associated_family        -- orthogonalized version of the {f_n}
   * limit_family_sym         -- the chi-independent large-chi limits of the
                                 k = 1 Sobolev family
@@ -58,10 +56,6 @@ degrees.
 Gram-Schmidt families (Legendre among them) and Green images are memoized
 per (params, family) and per family, extended on demand under one lock.  Every call returns
 fresh lists, so callers may modify results freely.
-
-The k=1 four-term table divides by the corner normal derivative of f_{n+2};
-that quantity vanishing would break the recurrence, so it is asserted at
-every step and a violation raises MathematicalAssumptionError.
 """
 
 from __future__ import annotations
@@ -182,52 +176,6 @@ def green_seq(family: int, count: int) -> list[Poly]:
         return out[:count + 1]
 
 
-def _moments(leg: list[Poly], family: int):
-    """nu(t, d) = <p_t, P_{d,family}>_2 for the Legendre p_t = leg[t], each
-    computed once; it is 0 for d < t, since p_t is orthogonal to every lower
-    degree of its family."""
-    memo = {}
-
-    def nu(t: int, d: int):
-        if d < t:
-            return ZERO
-        if (t, d) not in memo:
-            memo[t, d] = leg[t].linear_form(lambda idx: mono_inner_l2(idx, (d, family)))
-        return memo[t, d]
-    return nu
-
-
-def _green_projections(params: SobolevParams, leg: list[Poly], nu, u,
-                       polys: list[Poly], norms: list, window) -> list:
-    """[<G^m u, polys[i]>_{S^m} / norms[i] for i in window], where
-    u = sum(w * leg[t] for t, w in u), m = params.order and nu = _moments(leg, k).
-
-    With every t >= m this is the moment form of the module docstring; the
-    out-of-family k = 1 term sigma(s) <u, P_{0,2}>_2 is left out, so a k = 1
-    caller must make <u, P_{0,2}>_2 vanish.  Otherwise it is the dense
-    product of G^m u with each member.
-    """
-    m = params.order
-    low = min(t for t, _ in u)
-    if low < m:
-        image = Poly.zero().combination([(w, leg[t].green_power(m)) for t, w in u])
-        return [poly_inner(params, image, polys[i]) / norms[i] for i in window]
-
-    def moment(d):  # <u, P_{d,k}>_2
-        return sum((w * nu(t, d) for t, w in u), ZERO)
-
-    out = []
-    for i in window:
-        s = polys[i]
-        total = ZERO
-        for r, chi in enumerate(params.chi):
-            if chi:
-                total += chi * sum((x * moment(j + m - 2 * r) for (j, _), x
-                                    in s.nums.items() if j + m - 2 * r >= low), ZERO)
-        out.append(total / s.den / norms[i])
-    return out
-
-
 def legendre_recurrence_coeffs(family: int, n: int):
     """(b_n, c_n) with f_{n+1} = p_{n+1} + b_n p_n + c_n p_{n-1}, recovered by
     exact L2 projection; a nonzero residual is fatal."""
@@ -241,38 +189,108 @@ def legendre_recurrence_coeffs(family: int, n: int):
     return coefs[0], (coefs[1] if n >= 1 else ZERO)
 
 
+def recurrence_steps(method: str, m: int, maxdeg: int) -> list:
+    """The steps (degree, u, entries) of the recurrence `method` (an
+    OPFamily.method) of an order-m family to degree maxdeg:
+
+        s_degree = G^m sum(w p_t for t, w in u) - sum(c_i s_i for i in entries)
+
+    with c_i = table[key] for each entry (table, key, i) and each w of u
+    either 1 or read from the (table, key) given in its place.  So
+      three-term         s_{n+1} + a_n s_n + b~_n s_{n-1} = f_{n+1}
+      four-term          s_{n+3} + a_n s_{n+2} + b_n s_{n+1} + c_n s_n
+                             = f_{n+3} + d_n f_{n+2}
+      higher-recurrence  G^m p_{n+1} = s_{n+m+1} + sum_{l<2m} a_{n,l} s_{n+m-l}
+    """
+    if method == "three-term":
+        return [(n + 1, ((n, None),),
+                 [("a", n, n)] + ([("b_tilde", n, n - 1)] if n else []))
+                for n in range(maxdeg)]
+    if method == "four-term":
+        return [(n + 3, ((n + 2, None), (n + 1, ("d", n))),
+                 [("a", n, n + 2), ("b", n, n + 1), ("c", n, n)])
+                for n in range(maxdeg - 2)]
+    if method == "higher-recurrence":
+        return [(n + m + 1, ((n + 1, None),),
+                 [("a", (n, l), n + m - l) for l in range(min(2 * m, n + m + 1))])
+                for n in range(maxdeg - m)]
+    raise ValueError(f"no recurrence for method {method!r}")
+
+
+def step_weights(u, tables) -> list:
+    """A step's Legendre combination u as [(t, w)], each w read from `tables`."""
+    return [(t, 1 if ref is None else tables[ref[0]][ref[1]]) for t, ref in u]
+
+
+def _read_tables(fam: OPFamily, leg: list[Poly], tables: dict) -> OPFamily:
+    """fam with its recurrence table read off by projection, leg[t] being the
+    Legendre p_t: the entry (table, key, i) of a step is
+    <G^m u, s_i>_{S^m} / |s_i|^2.  With every t of u >= m the product takes
+    the moment form of the module docstring, which leaves out the k = 1 term
+    sigma(s) <u, P_{0,2}>_2 that the four-term d_n makes vanish; otherwise it
+    is the dense product.  `tables` holds every table in output order, the
+    ones the steps only read already filled."""
+    params, m = fam.params, fam.params.order
+    nu = {}
+
+    def moment(u, d):  # <u, P_{d,k}>_2, each nu_t(d) = <p_t, P_{d,k}>_2 once
+        for t, _ in u:
+            if t <= d and (t, d) not in nu:
+                nu[t, d] = leg[t].linear_form(lambda idx: mono_inner_l2(idx, (d, fam.family)))
+        return sum((w * nu[t, d] for t, w in u if t <= d), ZERO)
+
+    for _, u, entries in recurrence_steps(fam.method, m, len(fam.polys) - 1):
+        u = step_weights(u, tables)
+        low = min(t for t, _ in u)
+        image = (Poly.zero().combination([(w, leg[t].green_power(m)) for t, w in u])
+                 if low < m else None)
+        for name, key, i in entries:
+            s = fam.polys[i]
+            if image is not None:
+                product = poly_inner(params, image, s)
+            else:
+                product = ZERO
+                for r, chi in enumerate(params.chi):
+                    if chi:
+                        product += chi * sum((x * moment(u, j + m - 2 * r) for (j, _), x
+                                              in s.nums.items() if j + m - 2 * r >= low), ZERO)
+                product /= s.den
+            tables[name][key] = product / fam.norms_sq[i]
+    fam.recurrence = tables
+    return fam
+
+
 def sobolev_three_term(family: int, chi, maxdeg: int) -> OPFamily:
     """k = 2 or 3 Sobolev family with the table of
     s_{n+1} = f_{n+1} - a_n s_n - b~_n s_{n-1}, read off by projection."""
     if family not in (2, 3):
         raise ValueError("three-term recurrence applies to families 2 and 3")
-    params = SobolevParams.order1(chi)
-    fam = gram_schmidt(params, family, maxdeg)
-    leg = legendre(family, max(maxdeg - 1, 0)).polys
-    nu = _moments(leg, family)
-    a: dict[int, object] = {}
-    b_tilde: dict[int, object] = {}
-    for n in range(maxdeg):
-        coefs = _green_projections(params, leg, nu, ((n, 1),), fam.polys,
-                                   fam.norms_sq, (n, n - 1) if n else (0,))
-        a[n] = coefs[0]
-        if n:
-            b_tilde[n] = coefs[1]
+    fam = gram_schmidt(SobolevParams.order1(chi), family, maxdeg)
     fam.method = "three-term"
-    fam.recurrence = {"a": a, "b_tilde": b_tilde}
-    return fam
+    return _read_tables(fam, legendre(family, max(maxdeg - 1, 0)).polys,
+                        {"a": {}, "b_tilde": {}})
 
 
-def corner_normal_of_green_image(t: int):
-    """Normal derivative of f_t at q0 via the projection formula 2 <p_{t-1}, P_{0,2}>_2.
+def corner_normal_of_green_image(t: int, leg: list[Poly] | None = None):
+    """Normal derivative of f_t at q0 via the projection formula 2 <p_{t-1}, P_{0,2}>_2,
+    with p_{t-1} = leg[t - 1] (the k = 1 Legendre family, built if not given).
 
     Valid for t >= 2 (for t = 1 the mean of p_0 does not vanish and the
     formula does not apply).
     """
     if t < 2:
         raise ValueError("projection formula for the corner normal needs t >= 2")
-    p = legendre(1, t - 1).polys[t - 1]
+    p = (legendre(1, t - 1).polys if leg is None else leg)[t - 1]
     return 2 * p.linear_form(lambda idx: mono_inner_l2((idx[0], 1), (0, 2)))
+
+
+def _d_coef(normals: list, n: int):
+    """d_n = -dn f_{n+3}(q0) / dn f_{n+2}(q0), with normals[t] = dn f_t(q0)."""
+    if normals[n + 2] == 0:
+        raise MathematicalAssumptionError(
+            f"corner normal derivative of f_{n + 2} vanishes; "
+            "the symmetric-family recurrence breaks down")
+    return -normals[n + 3] / normals[n + 2]
 
 
 def sobolev_four_term(chi, maxdeg: int) -> OPFamily:
@@ -283,37 +301,20 @@ def sobolev_four_term(chi, maxdeg: int) -> OPFamily:
     corner normal derivative between f_{n+3} and f_{n+2}; the divisor
     vanishing raises MathematicalAssumptionError.
     """
-    params = SobolevParams.order1(chi)
-    fam = gram_schmidt(params, 1, maxdeg)
+    fam = gram_schmidt(SobolevParams.order1(chi), 1, maxdeg)
     fam.method = "four-term"
     if maxdeg <= 2:
         return fam
     leg = legendre(1, maxdeg - 1).polys
-    nu = _moments(leg, 1)
-    fs = green_seq(1, maxdeg)
-    normals = {}
-    for t in range(2, maxdeg + 1):
-        normals[t] = fs[t].normal_derivative(0)
-        if normals[t] != corner_normal_of_green_image(t):
-            raise ConsistencyError("corner normal of a Green image disagrees "
-                                   "with its projection formula")
-    a: dict[int, object] = {}
-    b: dict[int, object] = {}
-    c: dict[int, object] = {}
-    d: dict[int, object] = {}
-    for n in range(maxdeg - 2):
-        if normals[n + 2] == 0:
-            raise MathematicalAssumptionError(
-                f"corner normal derivative of f_{n + 2} vanishes; "
-                "the symmetric-family recurrence breaks down")
-        d[n] = -normals[n + 3] / normals[n + 2]
-        # the corner normal of G u is 2 <u, P_{0,2}>_2, so d_n makes the
-        # out-of-family term that _green_projections leaves out vanish
-        a[n], b[n], c[n] = _green_projections(
-            params, leg, nu, ((n + 2, 1), (n + 1, d[n])), fam.polys,
-            fam.norms_sq, (n + 2, n + 1, n))
-    fam.recurrence = {"a": a, "b": b, "c": c, "d": d}
-    return fam
+    normals = [f.normal_derivative(0) for f in green_seq(1, maxdeg)]
+    if any(normals[t] != corner_normal_of_green_image(t, leg)
+           for t in range(2, maxdeg + 1)):
+        raise ConsistencyError("corner normal of a Green image disagrees "
+                               "with its projection formula")
+    # the corner normal of G u is 2 <u, P_{0,2}>_2, so d_n makes the
+    # out-of-family term that _read_tables leaves out vanish
+    d = {n: _d_coef(normals, n) for n in range(maxdeg - 2)}
+    return _read_tables(fam, leg, {"a": {}, "b": {}, "c": {}, "d": d})
 
 
 def sobolev_higher(params: SobolevParams, family: int, maxdeg: int) -> OPFamily:
@@ -334,16 +335,7 @@ def sobolev_higher(params: SobolevParams, family: int, maxdeg: int) -> OPFamily:
     fam.method = "higher-recurrence"
     if maxdeg <= m:
         return fam
-    leg = legendre(family, maxdeg - m).polys
-    nu = _moments(leg, family)
-    a: dict[tuple[int, int], object] = {}
-    for n in range(maxdeg - m):
-        ls = range(min(2 * m, n + m + 1))
-        coefs = _green_projections(params, leg, nu, ((n + 1, 1),), fam.polys,
-                                   fam.norms_sq, [n + m - l for l in ls])
-        a.update(zip(((n, l) for l in ls), coefs))
-    fam.recurrence = {"a": a}
-    return fam
+    return _read_tables(fam, legendre(family, maxdeg - m).polys, {"a": {}})
 
 
 def associated_family(chi, family: int, maxdeg: int) -> OPFamily:
@@ -396,23 +388,14 @@ def limit_family_sym(maxdeg: int) -> list[Poly]:
     if maxdeg >= 1:
         gs.append(leg.polys[1])
 
-    def d_coef(n: int):
-        hi = fs[n + 3].normal_derivative(0)
-        lo = fs[n + 2].normal_derivative(0)
-        if lo == 0:
-            raise MathematicalAssumptionError(
-                f"corner normal derivative of f_{n + 2} vanishes")
-        return -hi / lo
-
+    normals = [f.normal_derivative(0) for f in fs]
     for deg in range(2, maxdeg + 1):
-        n = deg - 3
-        if deg in (2, 3):
-            dd = d_coef(n)  # n = -1 or 0; f_1 onward exist
+        dd = _d_coef(normals, deg - 3)
+        if deg in (2, 3):  # n = -1 or 0; f_1 onward exist
             comb, _ = _orthogonalize(L2, fs[deg].combination(((dd, fs[deg - 1]),)),
                                      leg.polys, leg.norms_sq, (0,))
             g = comb.combination(((-dd, gs[deg - 1]),))
         else:
-            dd = d_coef(n)
             g = fs[deg].combination(((dd, fs[deg - 1]), (-dd, gs[deg - 1])))
         gs.append(g)
     return gs

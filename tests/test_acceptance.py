@@ -60,6 +60,7 @@ def test_criterion_02_recurrence_equals_gram_schmidt():
     ("sobolev_four_term", "d", 3, "perturb"),
     ("sobolev_higher", "a", (4, 3), "perturb"),
     ("sobolev_higher", "a", (4, 3), "drop"),
+    ("sobolev_four_term", "d", 6, "extra"),
 ])
 def test_criterion_02_fails_on_a_wrong_coefficient(monkeypatch, builder, table,
                                                    key, change):
@@ -69,6 +70,8 @@ def test_criterion_02_fails_on_a_wrong_coefficient(monkeypatch, builder, table,
         fam = build(*args)
         if change == "drop":
             del fam.recurrence[table][key]
+        elif change == "extra":  # a key outside the recurrence steps
+            fam.recurrence[table][key] = Fraction(0)
         else:
             fam.recurrence[table][key] += Fraction(1, 10**9)
         return fam
@@ -77,6 +80,8 @@ def test_criterion_02_fails_on_a_wrong_coefficient(monkeypatch, builder, table,
     result = acceptance.check_recurrence_equivalence()
     assert not result.passed
     assert "deviates" in result.detail
+    if change != "perturb":
+        assert result.detail.endswith("table does not cover the recurrence windows")
 
 
 def test_criterion_03_ode_identities():
@@ -88,6 +93,23 @@ def test_criterion_04_coefficient_identities():
     result = _run(acceptance.check_coefficient_identities,
                   "criterion-4 coefficient identities")
     assert result.passed, result.detail
+
+
+def test_criterion_04_fails_on_a_consistent_wrong_pair(monkeypatch):
+    # b~_3 halved and |s_2|^2 doubled keep b~_3 = |p_3|^2 / norms_sq[2];
+    # the dense products of the check catch both
+    build = acceptance.sobolev_three_term
+
+    def wrong(*args):
+        fam = build(*args)
+        fam.recurrence["b_tilde"][3] /= 2
+        fam.norms_sq[2] *= 2
+        return fam
+
+    monkeypatch.setattr(acceptance, "sobolev_three_term", wrong)
+    result = acceptance.check_coefficient_identities()
+    assert not result.passed
+    assert result.detail == "b~_3 family 2"
 
 
 def test_criterion_05_corner_canaries_t2_to_9():

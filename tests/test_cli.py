@@ -298,6 +298,16 @@ def test_usage_error_m_max_below_n(capsys):
     assert cli.main(["quad", "--n", "2", "--m-max", "1"]) == 0
 
 
+def test_usage_error_zero_level_with_quick(capsys):
+    # --quick skips the zero-count report, so its level used to be ignored
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--quick", "--zero-level", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--zero-level" in captured.err
+
+
 def test_sobolev_order_zero_is_valid(capsys):
     assert cli.main(["ops", "--family", "2", "--m", "0", "--degree", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["method"] == "legendre"

@@ -6,7 +6,7 @@ import pytest
 
 from sgortho import families, poly
 from sgortho.coeffs import alpha, beta
-from sgortho.errors import ConsistencyError
+from sgortho.errors import ConsistencyError, MathematicalAssumptionError
 from sgortho.families import (associated_family, corner_normal_of_green_image,
                               gram_schmidt, green_seq, legendre,
                               legendre_recurrence_coeffs, limit_family_sym,
@@ -221,6 +221,25 @@ def test_four_term_coefficient_identities():
         # the q1/q2 normals vanish along with the q0 one
         assert rhs.normal_derivative(1) == 0
         assert rhs.normal_derivative(2) == 0
+
+
+def test_four_term_builds_legendre_once(monkeypatch):
+    # one call each for the Sobolev family, the Legendre members the corner
+    # normal check reads and the Green images
+    calls = []
+    build = families.gram_schmidt
+    monkeypatch.setattr(families, "gram_schmidt",
+                        lambda *args: calls.append(args) or build(*args))
+    sobolev_four_term(1, 16)
+    assert len(calls) <= 3
+
+
+def test_d_coef_vanishing_divisor():
+    normals = [F(0), F(1), F(2), F(3), F(0), F(5)]
+    assert families._d_coef(normals, 0) == F(-3, 2)
+    with pytest.raises(MathematicalAssumptionError,
+                       match="f_4 vanishes; the symmetric-family recurrence"):
+        families._d_coef(normals, 2)
 
 
 def test_four_term_corner_combination():
