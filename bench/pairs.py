@@ -59,9 +59,10 @@ finally:
 def digest_commands() -> list[str]:
     """The CLI commands whose stdout must not change: every seed-0 benchmark
     request, the degree-16 recurrence builds, Gram-Schmidt at orders 0-2,
-    the full verify, the coefficient table, a mixed Gram matrix, the
-    exact-rule requests the seed-0 requests miss (an off-spine interpolation
-    node, quadrature studies of every family), the exact solves they miss
+    the full verify, the coefficient table (to j = 60, past it to j = 90,
+    and with the CSV format named), a mixed Gram matrix, the exact-rule
+    requests the seed-0 requests miss (an off-spine interpolation node,
+    quadrature studies of every family), the exact solves they miss
     (a large interpolation matrix, a singular one, an order-4 rule),
     high-degree builds, where the exact numbers are largest, and the edges of
     the recurrence tables (degrees 1 to m + 1, order 3, unequal order-2
@@ -71,6 +72,7 @@ def digest_commands() -> list[str]:
     out += [f"ops --family {k} --m {m} --degree 12 --method gram-schmidt"
             for m in (0, 1, 2) for k in (1, 2, 3)]
     out += ["verify", "coeffs --max-j 60", "gram --family mixed --maxdeg 10"]
+    out += ["coeffs --max-j 90", "coeffs --max-j 60 --format csv"]
     out += ["interp --nodes v1 --n 1 --matrix",
             "quad --n 0 --study-degree 1 --study-family 2 --m-max 5",
             "quad --n 2 --study-degree 3 --study-family 3 --m-max 4",

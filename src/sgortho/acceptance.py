@@ -215,40 +215,41 @@ def check_almost_orthogonality(nmax: int = 10) -> CheckResult:
                        f"|n-m| >= 3 up to {nmax}, families 2,3; associated family to degree 8")
 
 
-def _norm_chain(fam: int, nmax: int, strict_at_1: bool) -> tuple[bool, str]:
+def _norm_chain(fam: int, nmax: int) -> tuple[int | None, int | None]:
+    """The first n at which family `fam` breaks the chain, read strictly and
+    read with the exact equality s_1 = p_1 at n = 1; None where it holds."""
     params = SobolevParams.order1(1)
     gs = gram_schmidt(params, fam, nmax)
     leg = legendre(fam, nmax)
+    strict = corrected = None
     for n in range(1, nmax + 1):
         p2 = leg.norms_sq[n]
         s2 = poly_inner(L2, gs.polys[n], gs.polys[n])
         ss = gs.norms_sq[n]
         cap = mono_inner_l2((n, fam), (n, fam)) + mono_inner_l2((n - 1, fam), (n - 1, fam))
-        first_ok = p2 < s2 if (strict_at_1 or n != 1) else (
-            p2 == s2 and gs.polys[1] == leg.polys[1])
-        if not (first_ok and s2 < ss and ss < cap):
-            return False, f"family {fam}, n={n}"
-    return True, ""
+        upper_ok = s2 < ss and ss < cap
+        first_ok = (p2 == s2 and gs.polys[1] == leg.polys[1]) if n == 1 else p2 < s2
+        if strict is None and not (p2 < s2 and upper_ok):
+            strict = n
+        if corrected is None and not (first_ok and upper_ok):
+            corrected = n
+        if strict is not None and corrected is not None:
+            break
+    return strict, corrected
 
 
 def check_norm_chain(nmax: int = 10) -> list[CheckResult]:
     """|p_n|_2^2 < |s_n|_2^2 < |s_n|_S^2 < |P_n|_2^2 + chi |P_{n-1}|_2^2."""
-    out = []
-    strict_ok, strict_detail = True, ""
-    for fam in (1, 2, 3):
-        ok, d = _norm_chain(fam, nmax, strict_at_1=True)
-        if not ok:
-            strict_ok, strict_detail = False, d
-    out.append(CheckResult(
-        "norm-chain-strict", strict_ok,
-        strict_detail + " (s_1 = p_1 identically, so the first comparison "
-        "is an exact equality at n=1)",
-        expected_fail=True))
-    corrected_ok = all(_norm_chain(fam, nmax, strict_at_1=False)[0] for fam in (1, 2, 3))
-    out.append(CheckResult(
-        "norm-chain", corrected_ok,
-        f"strict for 2 <= n <= {nmax}; exact equality s_1 = p_1 verified at n=1"))
-    return out
+    firsts = {fam: _norm_chain(fam, nmax) for fam in (1, 2, 3)}
+    strict = [f"family {fam}, n={n}" for fam, (n, _) in firsts.items() if n is not None]
+    return [
+        CheckResult("norm-chain-strict", not strict,
+                    (strict[-1] if strict else "") + " (s_1 = p_1 identically, so "
+                    "the first comparison is an exact equality at n=1)",
+                    expected_fail=True),
+        CheckResult("norm-chain", all(n is None for _, n in firsts.values()),
+                    f"strict for 2 <= n <= {nmax}; exact equality s_1 = p_1 "
+                    "verified at n=1")]
 
 
 def check_chi_asymptotics() -> CheckResult:

@@ -18,17 +18,37 @@ alpha'_j is alpha_j except alpha'_0 = 1/2; it carries the normal derivative
 of the k=2 family at q1/q2.  Any sequence queried at a negative index is 0,
 which keeps every downstream shifted-index sum valid without special cases.
 
-All arithmetic is exact rational; powers of 5 are exact integers.  Each new
-term is one integer sum: the numerators and denominators of its products are
-brought to one common denominator, and the term is reduced once.  Sequences
-are memoized and extended on demand; extension is serialized by a lock so the
-table is safe for concurrent readers.
+Integer form.  With F_n = prod_{i=1}^n (5^i - 1) (a 5-factorial) and the
+closed-form denominators
+
+    H_0 = 1,  H_j = 6^j prod_{i=2}^j (5^i - 5),    K_j = 2 * 90^j F_j,
+
+the sequences are alpha_j = A_j/H_j, beta_j = B_j/K_j and eta_j = E_j/K_j
+with integers A, B, E.  Since 5^i - 5 = 5 (5^{i-1} - 1), the product in H_j
+is 5^{j-1} F_{j-1}: both denominators are 5-factorials times powers of 2, 3
+and 5.  Multiplied through by H_j or K_j, every product in the recursions
+above keeps a quotient of 5-factorials as its cofactor, for instance
+H_j / ((5^j - 5) H_{j-l} H_l) = F_{j-2} / (F_{j-l-1} F_{l-1}).  Such a
+quotient is the Gaussian binomial [n, k]_5 = F_n / (F_k F_{n-k}), an integer,
+so (for j >= 2, 1, 1 respectively)
+
+    A_0 = A_1 = 1,  A_j = 4 sum_{l=1}^{j-1} [j-2, l-1]_5 A_{j-l} A_l
+    B_0 = -1,       B_j = 2 sum_{l=0}^{j-1} (3*5^{j-l} - 5^{l+1} + 6) 3^{j-1-l}
+                                             [j-1, l]_5 A_{j-l} B_l
+    E_0 = 0,        E_j = 5 * 3^j (25^j - 1) A_j
+                          + sum_{l=1}^{j-1} [j, l]_5 E_l B_{j-l}
+
+The 5-binomials come row by row from q-Pascal,
+[n, k]_5 = [n-1, k-1]_5 + 5^k [n-1, k]_5, so the table grows by integer
+sums and products alone: no lcm, gcd or Fraction arithmetic.  Each index's
+reduced Fraction is made once, on first access, with one gcd, and memoized.
+Extension is serialized by a lock so the table is safe for concurrent
+readers.
 """
 
 from __future__ import annotations
 
 import threading
-from math import lcm
 
 from .rationals import Rat, ZERO
 
@@ -40,60 +60,66 @@ class CoeffTable:
     """Memoized alpha/beta/gamma/eta/alpha' sequences plus boundary tables."""
 
     def __init__(self):
-        self._alpha = [Rat(1), Rat(1, 6)]
-        self._beta = [Rat(-1, 2)]
-        self._eta = [ZERO]
+        # numerators A, B, E over the closed-form denominators H, K
+        self._a, self._b, self._e = [1, 1], [-1], [0]
+        self._h, self._k = [1, 6], [2]
+        self._binom = [[1]]  # row n holds [n, k]_5 for k = 0, ..., n
+        self._alpha, self._beta, self._eta = {}, {}, {}
         self._lock = threading.RLock()
 
     # -- sequence extension -------------------------------------------------
 
     def _extend(self, n: int) -> None:
-        """Grow all three base sequences so indices <= n are available."""
+        """Grow the integer sequences so indices <= n are available."""
         with self._lock:
-            a, b, e = self._alpha, self._beta, self._eta
+            a, b, e, h, k, rows = (self._a, self._b, self._e, self._h, self._k,
+                                   self._binom)
+            while len(rows) <= n:  # q-Pascal: [m, i] = [m-1, i-1] + 5^i [m-1, i]
+                last = rows[-1]
+                rows.append([1] + [last[i - 1] + 5**i * last[i]
+                                   for i in range(1, len(last))] + [1])
             while len(a) <= n:
                 j = len(a)
-                # the alpha sum is symmetric in l and j - l: each pair once, doubled
-                num, den = _int_sum(
-                    ((2 - (2 * l == j)) * a[j - l].numerator * a[l].numerator,
-                     a[j - l].denominator * a[l].denominator)
-                    for l in range(1, j // 2 + 1))
-                a.append(Rat(4 * num, (5**j - 5) * den))
+                row = rows[j - 2]
+                # the sum is symmetric in l and j - l: each pair once, doubled
+                a.append(4 * sum((2 - (2 * l == j)) * row[l - 1] * a[j - l] * a[l]
+                                 for l in range(1, j // 2 + 1)))
+                h.append(6 * (5**j - 5) * h[-1])
             while len(b) <= n:
                 j = len(b)
-                num, den = _int_sum(
-                    ((3 * 5**(j - l) - 5**(l + 1) + 6) * a[j - l].numerator
-                     * b[l].numerator, a[j - l].denominator * b[l].denominator)
-                    for l in range(j))
-                b.append(Rat(2 * num, 15 * (5**j - 1) * den))
+                row = rows[j - 1]
+                b.append(2 * sum((3 * 5**(j - l) - 5**(l + 1) + 6) * 3**(j - 1 - l)
+                                 * row[l] * a[j - l] * b[l] for l in range(j)))
+                k.append(90 * (5**j - 1) * k[-1])
             while len(e) <= n:
                 j = len(e)
-                num, den = _int_sum(
-                    [((5**j + 1) * a[j].numerator, 2 * a[j].denominator)]
-                    + [(2 * e[l].numerator * b[j - l].numerator,
-                        e[l].denominator * b[j - l].denominator) for l in range(j)])
-                e.append(Rat(num, den))
+                row = rows[j]
+                e.append(5 * 3**j * (25**j - 1) * a[j]
+                         + sum(row[l] * e[l] * b[j - l] for l in range(1, j)))
+
+    def _reduced(self, memo: dict, nums: list, dens: list, j: int):
+        """nums[j] / dens[j] in lowest terms, made once per index."""
+        self._extend(j)
+        value = memo[j] = Rat(nums[j], dens[j])
+        return value
 
     def alpha(self, j: int):
         if j < 0:
             return ZERO
-        if j >= len(self._alpha):
-            self._extend(j)
-        return self._alpha[j]
+        value = self._alpha.get(j)
+        return self._reduced(self._alpha, self._a, self._h, j) if value is None else value
 
     def beta(self, j: int):
         if j < 0:
             return ZERO
-        if j >= len(self._beta):
-            self._extend(j)
-        return self._beta[j]
+        value = self._beta.get(j)
+        return self._reduced(self._beta, self._b, self._k, j) if value is None else value
 
     def eta(self, j: int):
         if j < 0:
             return ZERO
-        if j >= len(self._eta):
-            self._extend(j)
-        return self._eta[j]
+        value = self._eta.get(j)
+        return self._reduced(self._eta, self._e, self._k, j) if value is None else value
 
     def gamma(self, j: int):
         if j < 0:
@@ -141,14 +167,6 @@ class CoeffTable:
         if k == 2:
             return -2 * self.alpha(j + 1)
         return ZERO  # k=3 is anti-symmetric
-
-
-def _int_sum(terms) -> tuple[int, int]:
-    """(num, den) with num/den = the sum of the fractions n/d in `terms`
-    (integer pairs), over den = the lcm of the d; nothing is reduced."""
-    terms = list(terms)
-    den = lcm(*(d for _, d in terms))
-    return sum(n * (den // d) for n, d in terms), den
 
 
 def _check_jk(j: int, k: int, vertex: int = Q0) -> None:

@@ -165,14 +165,15 @@ def green_seq(family: int, count: int) -> list[Poly]:
     """
     with _lock:
         out = _green.setdefault(family, [Poly.zero()])
-        leg = legendre(family, max(count - 1, 0))
-        for t in range(len(out), count + 1):
-            p = leg.polys[t - 1]
-            f = p.green()
-            if any(f.boundary_value(v) != 0 for v in (0, 1, 2)) or f.laplacian() != p:
-                raise ConsistencyError(f"Green image of degree {t - 1} is not "
-                                       "the Dirichlet solution of Lap f = p")
-            out.append(f)
+        if len(out) <= count:  # Legendre members are built only to extend
+            leg = legendre(family, count - 1)
+            for t in range(len(out), count + 1):
+                p = leg.polys[t - 1]
+                f = p.green()
+                if any(f.boundary_value(v) != 0 for v in (0, 1, 2)) or f.laplacian() != p:
+                    raise ConsistencyError(f"Green image of degree {t - 1} is not "
+                                           "the Dirichlet solution of Lap f = p")
+                out.append(f)
         return out[:count + 1]
 
 

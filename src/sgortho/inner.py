@@ -284,5 +284,8 @@ def gram_matrix(params: SobolevParams, family, maxdeg: int) -> GramMatrix:
     if maxdeg < 0:
         raise ValueError("maxdeg must be >= 0")
     basis = basis_indices(family, maxdeg)
-    entries = tuple(tuple(mono_inner(params, a, b) for b in basis) for a in basis)
+    # base-0 mono_inner is symmetric: evaluate r <= c and mirror
+    rows = [[mono_inner(params, a, b) for b in basis[r:]] for r, a in enumerate(basis)]
+    entries = tuple(tuple(rows[c][r - c] for c in range(r)) + tuple(rows[r])
+                    for r in range(len(basis)))
     return GramMatrix(params=params, basis=tuple(basis), entries=entries)

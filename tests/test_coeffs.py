@@ -5,6 +5,7 @@ recursions (no memoization, no shared code) before this package was written.
 """
 
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
@@ -150,30 +151,71 @@ def _per_term_sequences(n):
 
 
 def test_integer_sums_match_per_term_recursion():
-    a, b, e = _per_term_sequences(40)
+    a, b, e = _per_term_sequences(64)
     table = CoeffTable()
-    assert [table.alpha(j) for j in range(41)] == a
-    assert [table.beta(j) for j in range(41)] == b
-    assert [table.eta(j) for j in range(41)] == e
+    assert [table.alpha(j) for j in range(65)] == a
+    assert [table.beta(j) for j in range(65)] == b
+    assert [table.eta(j) for j in range(65)] == e
+
+
+def _five_factorial(n):
+    """F_n = prod_{i=1..n} (5^i - 1)."""
+    return prod(5**i - 1 for i in range(1, n + 1))
+
+
+def test_closed_form_denominators_clear_the_sequences():
+    # H_j = 6^j prod_{i=2..j} (5^i - 5) and K_j = 2 * 90^j prod_{i=1..j} (5^i - 1)
+    # are built here from their closed forms, not read from the table
+    table = CoeffTable()
+    for j in range(41):
+        h = 6**j * prod(5**i - 5 for i in range(2, j + 1))
+        k = 2 * 90**j * _five_factorial(j)
+        for value, den, nums in ((table.alpha(j), h, table._a),
+                                 (table.beta(j), k, table._b),
+                                 (table.eta(j), k, table._e)):
+            scaled = den * value
+            assert scaled.denominator == 1
+            assert scaled.numerator == nums[j]
+
+
+def test_five_binomials_are_five_factorial_quotients():
+    # the q-Pascal rows against [n, k]_5 = F_n / (F_k F_{n-k}), which is exact
+    table = CoeffTable()
+    table._extend(20)
+    for n in range(21):
+        quotients = [F(_five_factorial(n), _five_factorial(k) * _five_factorial(n - k))
+                     for k in range(n + 1)]
+        assert table._binom[n] == quotients
 
 
 def test_concurrent_readers():
+    import sys
     import threading
 
+    reference = CoeffTable()
+    want = {j: (reference.alpha(j), reference.beta(j), reference.eta(j))
+            for j in range(61)}
     table = CoeffTable()
     errors = []
 
     def worker(seed):
         try:
-            for j in range(30):
-                idx = (j * 7 + seed) % 25
+            for j in range(40):
+                idx = (j * 7 + seed) % 61
+                assert (table.alpha(idx), table.beta(idx), table.eta(idx)) == want[idx]
                 assert table.gamma(idx) == 3 * table.alpha(idx + 1)
-        except AssertionError as exc:  # pragma: no cover
+        except Exception as exc:  # pragma: no cover - reported below
             errors.append(exc)
 
-    threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors

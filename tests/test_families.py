@@ -234,6 +234,21 @@ def test_four_term_builds_legendre_once(monkeypatch):
     assert len(calls) <= 3
 
 
+def test_green_seq_builds_legendre_only_to_extend(monkeypatch):
+    calls = []
+    build = families.legendre
+    monkeypatch.setattr(families, "_green", {})
+    monkeypatch.setattr(families, "legendre",
+                        lambda *args: calls.append(args) or build(*args))
+    green_seq(2, 6)
+    assert calls == [(2, 5)]
+    for count in (0, 3, 6):  # memo hits
+        green_seq(2, count)
+    assert calls == [(2, 5)]
+    green_seq(2, 8)
+    assert calls == [(2, 5), (2, 7)]
+
+
 def test_d_coef_vanishing_divisor():
     normals = [F(0), F(1), F(2), F(3), F(0), F(5)]
     assert families._d_coef(normals, 0) == F(-3, 2)
