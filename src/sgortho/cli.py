@@ -164,17 +164,22 @@ def cmd_ops(args) -> int:
     return 0
 
 
+def _selected_poly(which: str, params: SobolevParams, args) -> Poly:
+    """The polynomial of --family and --degree that `which` names: the
+    monomial, the Legendre member or the Sobolev member."""
+    if which == "monomial":
+        return Poly.monomial(args.degree, args.family)
+    if which == "legendre":
+        return legendre(args.family, args.degree).polys[args.degree]
+    return _build_family(args.family, params, args.degree,
+                         "recurrence").polys[args.degree]
+
+
 def cmd_eval(args) -> int:
     params = _params_from_args(args)
     solve_level = _solve_level(args)
-    if args.which == "monomial":
-        poly = Poly.monomial(args.degree, args.family)
-    elif args.which == "legendre":
-        poly = legendre(args.family, args.degree).polys[args.degree]
-    else:
-        poly = _build_family(args.family, params, args.degree,
-                             "recurrence").polys[args.degree]
-    field = eval_poly_grid(poly, args.level, solve_level)
+    field = eval_poly_grid(_selected_poly(args.which, params, args),
+                           args.level, solve_level)
     rows = list(field.csv_rows(args.digits))
     _write(args.out, _csv(rows, ("address", "x", "y", "value")))
     return 0
@@ -188,12 +193,8 @@ def cmd_zeros(args) -> int:
     solve_level = _solve_level(args)
     rows = []
     for which in whiches:
-        if which == "legendre":
-            poly = legendre(args.family, args.degree).polys[args.degree]
-        else:
-            poly = _build_family(args.family, params, args.degree,
-                                 "recurrence").polys[args.degree]
-        field = eval_poly_grid(poly, args.level, solve_level)
+        field = eval_poly_grid(_selected_poly(which, params, args),
+                               args.level, solve_level)
         for edge in ("bottom", "left", "right"):
             changes, zeros = count_sign_changes(restrict_edge(field, edge),
                                                 args.threshold)

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .coeffs import TABLE
-from .poly import Poly
+from .poly import Poly, _check_rational
 from .rationals import ONE, ZERO, Rat, over_common_denominator, rat_str
 
 Index = tuple[int, int]
@@ -69,7 +69,7 @@ def _boundary_bilinear(a: Index, b: Index):
 
 
 def mono_inner_l2(a: Index, b: Index):
-    """Exact <P_a, P_b> in L2 of the self-similar measure (base point 0),
+    """Exact <P_a, P_b> in L2 of the self-similar measure,
     by the antidiagonal walk of the module docstring."""
     if a[0] < b[0]:
         a, b = b, a  # reduce along the smaller degree
@@ -107,6 +107,15 @@ def _psd_3x3(m) -> bool:
     return det >= 0
 
 
+def _rationals(values, where: str) -> tuple:
+    """`values` as a tuple of Fractions; anything but an int or a Fraction
+    is a TypeError."""
+    values = tuple(values)
+    for c in values:
+        _check_rational(c, where)
+    return tuple(Rat(c) for c in values)
+
+
 @dataclass(frozen=True)
 class SobolevParams:
     """Descriptor of an order-m Sobolev inner product.
@@ -124,13 +133,16 @@ class SobolevParams:
     boundary_matrices: tuple | None = None
 
     def __post_init__(self):
-        # tuples all the way down, so that params can key the family memo
-        object.__setattr__(self, "chi", tuple(self.chi))
+        # Fractions in tuples all the way down, so that params can key the
+        # family memo; a float weight is a TypeError, not a binary fraction
+        object.__setattr__(self, "chi", _rationals(self.chi, "chi"))
         if self.energy_weights is not None:
-            object.__setattr__(self, "energy_weights", tuple(self.energy_weights))
+            object.__setattr__(self, "energy_weights",
+                               _rationals(self.energy_weights, "energy weight"))
         if self.boundary_matrices is not None:
             object.__setattr__(self, "boundary_matrices", tuple(
-                tuple(tuple(row) for row in m) for m in self.boundary_matrices))
+                tuple(_rationals(row, "boundary matrix entry") for row in m)
+                for m in self.boundary_matrices))
         if self.order < 0:
             raise ValueError("order must be >= 0")
         if len(self.chi) != self.order + 1:
@@ -157,12 +169,12 @@ class SobolevParams:
 
     @staticmethod
     def order1(chi) -> "SobolevParams":
-        return SobolevParams(order=1, chi=(ONE, Rat(chi)))
+        return SobolevParams(order=1, chi=(ONE, chi))
 
     @staticmethod
     def of_weights(chis) -> "SobolevParams":
         """Params from the full weight list (chi_0, ..., chi_m); chi_0 must be 1."""
-        chis = tuple(Rat(c) for c in chis)
+        chis = tuple(chis)
         return SobolevParams(order=len(chis) - 1, chi=chis)
 
     def to_json_dict(self) -> dict:
@@ -175,26 +187,16 @@ class SobolevParams:
         return out
 
 
-def mono_inner(params: SobolevParams, a: Index, b: Index,
-               base_a: int = 0, base_b: int = 0):
-    """Exact S^m inner product of two monomials.
-
-    Base points other than 0 are supported only for pairs in the k=3 family:
-    with equal base points the product is unchanged, with distinct base points
-    it equals -1/2 times the base-0 value.
-    """
-    factor = ONE
-    if base_a != 0 or base_b != 0:
-        if a[1] != 3 or b[1] != 3:
-            raise ValueError("base points other than q0 only supported for the k=3 family")
-        if base_a != base_b:
-            factor = Rat(-1, 2)
+def mono_inner(params: SobolevParams, a: Index, b: Index):
+    """Exact S^m inner product <P_a, P_b> of two monomials:
+    sum_r chi_r <P_{a - r}, P_{b - r}>_2 over the orders r that leave both
+    degrees >= 0.  It is symmetric in a and b."""
     total = ZERO
     for r, c in enumerate(params.chi):
         if a[0] - r < 0 or b[0] - r < 0:
             continue  # Lap^r annihilates the lower-degree monomial
         total += c * mono_inner_l2((a[0] - r, a[1]), (b[0] - r, b[1]))
-    return factor * total
+    return total
 
 
 def poly_inner(params: SobolevParams, f: Poly, g: Poly):
@@ -202,12 +204,6 @@ def poly_inner(params: SobolevParams, f: Poly, g: Poly):
     arithmetic on the stored numerators (see the module docstring)."""
     if not f.nums or not g.nums:
         return ZERO
-    factor = ONE
-    if f.base_point != 0 or g.base_point != 0:
-        if not (f.families() <= {3} and g.families() <= {3}):
-            raise ValueError("base points other than q0 only supported for the k=3 family")
-        if f.base_point != g.base_point:
-            factor = Rat(-1, 2)
     total = ZERO
     for r, chi in enumerate(params.chi):
         if chi == 0:
@@ -221,7 +217,7 @@ def poly_inner(params: SobolevParams, f: Poly, g: Poly):
         for i, (_, x) in enumerate(f_r):
             acc += x * sum(y * l for (_, y), l in zip(g_r, l2[i * n:(i + 1) * n]))
         total += chi * Rat(acc, den_l)
-    return factor * total / (f.den * g.den)
+    return total / (f.den * g.den)
 
 
 def energy_inner(f: Poly, g: Poly):
@@ -284,7 +280,7 @@ def gram_matrix(params: SobolevParams, family, maxdeg: int) -> GramMatrix:
     if maxdeg < 0:
         raise ValueError("maxdeg must be >= 0")
     basis = basis_indices(family, maxdeg)
-    # base-0 mono_inner is symmetric: evaluate r <= c and mirror
+    # mono_inner is symmetric: evaluate r <= c and mirror
     rows = [[mono_inner(params, a, b) for b in basis[r:]] for r, a in enumerate(basis)]
     entries = tuple(tuple(rows[c][r - c] for c in range(r)) + tuple(rows[r])
                     for r in range(len(basis)))

@@ -22,7 +22,7 @@ from .families import (green_seq, legendre, sobolev_higher,
                        sobolev_three_term)
 from .inner import SobolevParams, poly_inner
 from .poly import Poly
-from .rationals import ONE, Rat, ZERO, rat_str
+from .rationals import ONE, ZERO, rat_str
 
 L2 = SobolevParams.l2()
 
@@ -32,7 +32,7 @@ def ode_residual(n: int, chi, family: int) -> Poly:
     sob = sobolev_three_term(family, chi, max(n + 1, 1))
     leg = legendre(family, n + 1)
     s_n = sob.polys[n]
-    lhs = s_n + s_n.laplacian_power(2).scale(Rat(chi))
+    lhs = s_n + s_n.laplacian_power(2).scale(chi)
     rhs = leg.polys[n + 1].laplacian()
     a_n = sob.recurrence["a"][n]
     rhs = rhs + leg.polys[n].laplacian().scale(a_n * sob.norms_sq[n] / leg.norms_sq[n])
@@ -95,7 +95,6 @@ def chi_asymptotics(family: int, n: int, chis) -> dict:
     rows = []
     prev_err = None
     for chi in chis:
-        chi = Rat(chi)
         sob = sobolev_three_term(family, chi, max(n + 1, 2))
         err = sob.polys[n] - limit
         err_sq = poly_inner(L2, err, err)

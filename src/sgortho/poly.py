@@ -1,6 +1,8 @@
 """Polynomials on the gasket as exact coefficient maps over the monomial basis.
 
-A polynomial is a finite map (degree j, family k) -> rational coefficient.
+A polynomial is a finite map (degree j, family k) -> rational coefficient
+over the monomials P_{j,k} based at the corner q0, the one basis every
+family is built from.
 The Laplacian acts by shifting degrees down; the Dirichlet Green operator acts
 on monomials by shifting degrees up and adding an explicit harmonic correction:
 
@@ -12,8 +14,8 @@ so that Laplacian(G f) = f and G f vanishes at all three corners.
 
 Representation.  A Poly stores one denominator `den` (an int > 0) and
 `nums`, a map (j, k) -> nonzero int, with gcd(den, every num) = 1; the
-coefficient of P_{j,k} is nums[(j, k)] / den.  The form is canonical, so
-== and hash compare it directly.  `coeffs`, the map to reduced Fractions,
+coefficient of P_{j,k} is nums[(j, k)] / den.  The form is canonical (the
+zero polynomial is den = 1, nums = {}), so == and hash compare it directly.  `coeffs`, the map to reduced Fractions,
 is a view built on first access, for rendering and for callers that want
 rationals.
 
@@ -45,11 +47,11 @@ def _check_rational(c, where: str) -> None:
 
 
 class Poly:
-    """Exact polynomial sum(c_{j,k} P_{j,k}) with an optional base point."""
+    """Exact polynomial sum(c_{j,k} P_{j,k}) over the monomials based at q0."""
 
-    __slots__ = ("den", "nums", "base_point", "_coeffs")
+    __slots__ = ("den", "nums", "_coeffs")
 
-    def __init__(self, coeffs: dict | None = None, base_point: int = 0):
+    def __init__(self, coeffs: dict | None = None):
         clean: dict[Index, object] = {}
         if coeffs:
             for (j, k), c in coeffs.items():
@@ -62,19 +64,18 @@ class Poly:
         # denominators no prime divides den and every numerator
         den = lcm(*(c.denominator for c in clean.values()))
         self._set(den, {idx: c.numerator * (den // c.denominator)
-                        for idx, c in clean.items()}, base_point)
+                        for idx, c in clean.items()})
 
-    def _set(self, den: int, nums: dict, base_point: int) -> None:
+    def _set(self, den: int, nums: dict) -> None:
         self.den = den
         self.nums = nums
-        self.base_point = base_point
         self._coeffs = None
 
     @classmethod
-    def _of(cls, den: int, nums: dict, base_point: int) -> "Poly":
+    def _of(cls, den: int, nums: dict) -> "Poly":
         """The Poly sum(nums[idx] / den P_idx) of a canonical (den, nums)."""
         out = cls.__new__(cls)
-        out._set(den, nums, base_point)
+        out._set(den, nums)
         return out
 
     @property
@@ -87,27 +88,23 @@ class Poly:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def zero(base_point: int = 0) -> "Poly":
-        return Poly({}, base_point)
+    def zero() -> "Poly":
+        return Poly()
 
     @staticmethod
-    def monomial(j: int, k: int, c=1, base_point: int = 0) -> "Poly":
-        return Poly({(j, k): c}, base_point)
+    def monomial(j: int, k: int, c=1) -> "Poly":
+        return Poly({(j, k): c})
 
     # -- ring structure ---------------------------------------------------------
 
     def combination(self, terms) -> "Poly":
         """self + sum(c * p for c, p in terms), reduced after every term (see
-        the module docstring).  Base points must agree between nonzero terms."""
-        den, nums, base = self.den, dict(self.nums), self.base_point
+        the module docstring)."""
+        den, nums = self.den, dict(self.nums)
         for c, p in terms:
             _check_rational(c, "scalar")
             if c == 0 or not p.nums:
                 continue
-            if nums and p.base_point != base:
-                raise ValueError("polynomials have different base points")
-            if not nums:
-                base = p.base_point
             term_den = c.denominator * p.den
             big = lcm(den, term_den)
             if big != den:
@@ -121,7 +118,7 @@ class Poly:
                 else:
                     del nums[idx]
             den, nums = _reduce(big, nums)
-        return Poly._of(den, nums, base)
+        return Poly._of(den, nums)
 
     def __add__(self, other: "Poly") -> "Poly":
         return self.combination(((1, other),))
@@ -130,24 +127,18 @@ class Poly:
         return self.combination(((-1, other),))
 
     def __neg__(self) -> "Poly":
-        return Poly._of(self.den, {idx: -v for idx, v in self.nums.items()},
-                        self.base_point)
+        return Poly._of(self.den, {idx: -v for idx, v in self.nums.items()})
 
     def scale(self, c) -> "Poly":
-        return Poly.zero(self.base_point).combination(((c, self),))
+        return Poly.zero().combination(((c, self),))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.nums and not other.nums:
-            return True
-        return (self.den == other.den and self.nums == other.nums
-                and self.base_point == other.base_point)
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        if not self.nums:
-            return hash(())  # every zero polynomial is equal, whatever its base
-        return hash((self.den, frozenset(self.nums.items()), self.base_point))
+        return hash((self.den, frozenset(self.nums.items())))
 
     def __getitem__(self, idx: Index):
         return Rat(self.nums.get(idx, 0), self.den)
@@ -159,9 +150,6 @@ class Poly:
     def degree(self) -> int:
         """Max degree with a nonzero coefficient; -1 for the zero polynomial."""
         return max((j for j, _ in self.nums), default=-1)
-
-    def families(self) -> set[int]:
-        return {k for _, k in self.nums}
 
     def is_monic(self, family: int) -> bool:
         return self.nums.get((self.degree, family)) == self.den
@@ -180,8 +168,7 @@ class Poly:
     def laplacian(self) -> "Poly":
         """Shift every coefficient from (j,k) to (j-1,k); degree-0 terms vanish."""
         return Poly._of(*_reduce(self.den, {(j - 1, k): v for (j, k), v
-                                            in self.nums.items() if j > 0}),
-                        self.base_point)
+                                            in self.nums.items() if j > 0}))
 
     def laplacian_power(self, n: int) -> "Poly":
         out = self
@@ -191,10 +178,8 @@ class Poly:
 
     def green(self) -> "Poly":
         """Apply the Dirichlet Green operator (right inverse of the Laplacian)."""
-        if self.base_point != 0 and self.nums:
-            raise ValueError("Green operator is defined for base point 0 only")
         shifted = {(l + 1, k): v for (l, k), v in self.nums.items()}
-        return Poly._of(self.den, shifted, 0).combination((
+        return Poly._of(self.den, shifted).combination((
             (self.linear_form(_symmetric_correction), Poly.monomial(0, 2)),
             (self.linear_form(_antisymmetric_correction), Poly.monomial(0, 3))))
 
@@ -207,18 +192,16 @@ class Poly:
     # -- boundary data ------------------------------------------------------------
 
     def boundary_value(self, vertex: int):
-        """Exact value at corner q_vertex (base point 0 only)."""
-        self._require_base0()
+        """Exact value at corner q_vertex."""
         return self.linear_form(lambda idx: TABLE.value(*idx, vertex))
 
     def normal_derivative(self, vertex: int):
-        """Exact normal derivative at corner q_vertex (base point 0 only)."""
-        self._require_base0()
+        """Exact normal derivative at corner q_vertex."""
         return self.linear_form(lambda idx: TABLE.normal(*idx, vertex))
 
     def dirichlet_data(self) -> tuple:
         """Iterated Dirichlet data: for each corner q_i, the values
-        Lap^s f(q_i) for s <= degree (base point 0 only).  They fix f."""
+        Lap^s f(q_i) for s <= degree.  They fix f."""
         chain = [self.laplacian_power(s) for s in range(max(self.degree, 0) + 1)]
         return tuple(tuple(p.boundary_value(i) for p in chain) for i in range(3))
 
@@ -233,7 +216,6 @@ class Poly:
         (3/5)^m and the k=3 family scales as 5^{-(j+1)m}, with a sign flip at
         the q2 side by anti-symmetry.
         """
-        self._require_base0()
         if target not in (1, 2):
             raise ValueError("spine evaluation targets corner 1 or 2")
         if depth < 0:
@@ -249,10 +231,6 @@ class Poly:
                 return Rat(3 ** m, 5 ** ((j + 1) * m)) * TABLE.beta(j)
             return Rat(sign, 5 ** ((j + 1) * m)) * TABLE.gamma(j)
         return self.linear_form(weight)
-
-    def _require_base0(self) -> None:
-        if self.base_point != 0 and self.nums:
-            raise ValueError("operation requires base point 0")
 
     # -- serialization ------------------------------------------------------------
 

@@ -43,10 +43,9 @@ from __future__ import annotations
 
 from math import lcm
 
-from .addresses import spine_address
 from .grid import FieldOnGrid, _corner_table, _vertex_count, build_grid
 from .poly import Poly
-from .rationals import Rat, ZERO, over_common_denominator
+from .rationals import Rat, over_common_denominator
 
 
 def _solve(level: int, boundary, loads: list[int], load_den: int):
@@ -104,18 +103,6 @@ def dirichlet_solve(level: int, boundary, load) -> FieldOnGrid:
     return FieldOnGrid(grid, [Rat(v, den) for v in values])
 
 
-def residual_check(field: FieldOnGrid, load) -> bool:
-    """Verify every interior equation of the discrete system exactly: each
-    cell adds its three edges to the sums at their ends."""
-    x = field.values
-    sums = [ZERO] * len(x)
-    for a0, a1, a2 in _corner_table(field.grid.m):
-        sums[a0] += 2 * x[a0] - x[a1] - x[a2]
-        sums[a1] += 2 * x[a1] - x[a0] - x[a2]
-        sums[a2] += 2 * x[a2] - x[a0] - x[a1]
-    return all(s == load(v) for s, v in zip(sums[3:], field.grid.vertices[3:]))
-
-
 def _corner_values(f: Poly) -> list:
     return [f.boundary_value(v) for v in (0, 1, 2)]
 
@@ -128,8 +115,6 @@ def eval_poly_grid(f: Poly, m: int, solve_level: int | None = None) -> FieldOnGr
     restricts.  Harmonic polynomials come out exact; for higher degrees the
     values converge to the true ones as solve_level grows.
     """
-    if f.base_point != 0 and f.nums:
-        raise ValueError("grid evaluation requires base point 0")
     if solve_level is None:
         solve_level = m + 2
     if solve_level < m:
@@ -143,16 +128,3 @@ def eval_poly_grid(f: Poly, m: int, solve_level: int | None = None) -> FieldOnGr
         values, den = _solve(solve_level, _corner_values(layer),
                              [-2 * v for v in values], 3 * 5**solve_level * den)
     return FieldOnGrid(build_grid(m), [Rat(v, den) for v in values[:_vertex_count(m)]])
-
-
-def spine_discrepancy(f: Poly, max_depth: int, solve_level: int):
-    """Max |grid value - exact| over spine vertices of depth <= max_depth."""
-    field = eval_poly_grid(f, max_depth, solve_level)
-    worst = ZERO
-    for depth in range(max_depth + 1):
-        for target in (1, 2):
-            approx = field.value_at(spine_address(depth, target))
-            err = abs(approx - f.eval_spine(depth, target))
-            if err > worst:
-                worst = err
-    return worst

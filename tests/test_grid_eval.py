@@ -17,8 +17,7 @@ from sgortho.grid import (EDGE_LETTERS, _corner_table, _vertex_count,
                           multiharmonic_extend, restrict_edge)
 from sgortho.poly import Poly
 from sgortho.rationals import rat_decimal
-from sgortho.solver import (dirichlet_solve, eval_poly_grid,
-                            residual_check, spine_discrepancy)
+from sgortho.solver import dirichlet_solve, eval_poly_grid
 
 #: Planar corner coordinates as (x, r) with y = r*sqrt(3).
 CORNER_XY = ((F(1, 2), F(1, 2)), (F(0), F(0)), (F(1), F(0)))
@@ -169,6 +168,18 @@ def test_harmonic_mean_value_identity():
         assert total / 3**m == exact
 
 
+def _residual_check(field, load) -> bool:
+    """Verify every interior equation of the discrete system exactly: each
+    cell adds its three edges to the sums at their ends."""
+    x = field.values
+    sums = [F(0)] * len(x)
+    for a0, a1, a2 in _corner_table(field.grid.m):
+        sums[a0] += 2 * x[a0] - x[a1] - x[a2]
+        sums[a1] += 2 * x[a1] - x[a0] - x[a2]
+        sums[a2] += 2 * x[a2] - x[a0] - x[a1]
+    return all(s == load(v) for s, v in zip(sums[3:], field.grid.vertices[3:]))
+
+
 def test_dirichlet_solve_unit_load():
     load = lambda v: F(-2, 15)
     u = dirichlet_solve(1, [0, 0, 0], load)
@@ -176,7 +187,7 @@ def test_dirichlet_solve_unit_load():
             u.value_at(VertexAddress.make((0,), 2)),
             u.value_at(VertexAddress.make((1,), 2))]
     assert mids == [F(-1, 15)] * 3
-    assert residual_check(u, load)
+    assert _residual_check(u, load)
 
 
 def test_dirichlet_solve_residuals_random_load():
@@ -190,7 +201,7 @@ def test_dirichlet_solve_residuals_random_load():
         return values[v]
 
     u = dirichlet_solve(3, [F(1), F(-2), F(1, 3)], load)
-    assert residual_check(u, load)
+    assert _residual_check(u, load)
     assert u.value_at(VertexAddress.make((), 0)) == 1
 
 
@@ -351,10 +362,23 @@ def test_harmonic_polys_match_harmonic_extend():
     assert fld.values == ext.values
 
 
+def _spine_discrepancy(f, max_depth: int, solve_level: int):
+    """Max |grid value - exact| over spine vertices of depth <= max_depth."""
+    field = eval_poly_grid(f, max_depth, solve_level)
+    worst = F(0)
+    for depth in range(max_depth + 1):
+        for target in (1, 2):
+            approx = field.value_at(spine_address(depth, target))
+            err = abs(approx - f.eval_spine(depth, target))
+            if err > worst:
+                worst = err
+    return worst
+
+
 def test_spine_convergence_is_monotone():
     for j in (2, 3):
         mono = Poly.monomial(j, 1)
-        errs = [spine_discrepancy(mono, 2, lvl) for lvl in (3, 4, 5)]
+        errs = [_spine_discrepancy(mono, 2, lvl) for lvl in (3, 4, 5)]
         assert errs[0] >= errs[1] >= errs[2]
         assert errs[2] < F(1, 10**5)
 

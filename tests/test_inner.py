@@ -11,6 +11,7 @@ from sgortho.inner import (SobolevParams, _l2_cache, energy_inner,
                            extended_inner, gram_matrix, mono_inner,
                            mono_inner_l2, poly_inner)
 from sgortho.linalg import bareiss_det
+from sgortho.odes import chi_asymptotics
 from sgortho.poly import Poly
 from sgortho.rationals import ZERO
 
@@ -92,36 +93,20 @@ def test_laplacian_shift_identity_on_polys():
         assert poly_inner(L2, a, b) == mono_inner_l2((j - 1, k), (jp - 1, kp))
 
 
-def test_multi_base_point_relation():
-    for j in range(3):
-        for k in range(3):
-            base = mono_inner(S1, (j, 3), (k, 3))
-            assert mono_inner(S1, (j, 3), (k, 3), base_a=1, base_b=1) == base
-            assert mono_inner(S1, (j, 3), (k, 3), base_a=1, base_b=2) == \
-                -base / 2
-    a = Poly({(1, 3): F(2)}, base_point=1)
-    b = Poly({(0, 3): F(3)}, base_point=2)
-    assert poly_inner(S1, a, b) == 6 * (-F(1, 2)) * mono_inner(S1, (1, 3), (0, 3))
-    with pytest.raises(ValueError):
-        mono_inner(S1, (0, 1), (0, 3), base_a=1)
-    with pytest.raises(ValueError):
-        poly_inner(S1, Poly({(0, 1): F(1)}, base_point=1), Poly.monomial(0, 1))
-
-
 def _per_term_inner(params, f, g):
     """Oracle: the naive sum of cf * cg * mono_inner over all term pairs."""
     total = F(0)
     for a, cf in f.coeffs.items():
         for b, cg in g.coeffs.items():
-            total += cf * cg * mono_inner(params, a, b, f.base_point, g.base_point)
+            total += cf * cg * mono_inner(params, a, b)
     return total
 
 
-def _random_poly(rng, families, base_point=0):
+def _random_poly(rng, families):
     coeffs = {(rng.randint(0, 6), rng.choice(families)):
               F(rng.randint(-60, 60), rng.randint(1, 45))
               for _ in range(rng.randint(1, 6))}
-    return Poly(coeffs, base_point)
+    return Poly(coeffs)
 
 
 ORACLE_PARAMS = {
@@ -142,19 +127,15 @@ def test_poly_inner_matches_per_term_sum(params):
         got = poly_inner(params, f, g)
         assert type(got) is type(ZERO)
         assert got == _per_term_inner(params, f, g)
-    for base_f, base_g in ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (2, 0)):
-        for _ in range(5):
-            f = _random_poly(rng, (3,), base_f)
-            g = _random_poly(rng, (3,), base_g)
-            got = poly_inner(params, f, g)
-            assert type(got) is type(ZERO)
-            assert got == _per_term_inner(params, f, g)
-    mixed_off_q0 = _random_poly(rng, (1, 2, 3), base_point=1)
-    for zero in (Poly.zero(), Poly.zero(base_point=2)):
-        for other in (_random_poly(rng, (1, 2, 3)), mixed_off_q0, zero):
-            for got in (poly_inner(params, zero, other),
-                        poly_inner(params, other, zero)):
-                assert type(got) is type(ZERO) and got == 0
+    for _ in range(30):
+        f, g = _random_poly(rng, (3,)), _random_poly(rng, (3,))
+        got = poly_inner(params, f, g)
+        assert type(got) is type(ZERO)
+        assert got == _per_term_inner(params, f, g)
+    zero = Poly.zero()
+    for other in (_random_poly(rng, (1, 2, 3)), zero):
+        for got in (poly_inner(params, zero, other), poly_inner(params, other, zero)):
+            assert type(got) is type(ZERO) and got == 0
 
 
 def test_poly_inner_matches_per_term_sum_on_family_members():
@@ -165,15 +146,6 @@ def test_poly_inner_matches_per_term_sum_on_family_members():
         for j in (3, 9):
             assert poly_inner(params, polys[i], polys[j]) == \
                 _per_term_inner(params, polys[i], polys[j])
-
-
-def test_poly_inner_rejects_off_q0_base_point_outside_k3():
-    mixed = Poly({(1, 1): F(1, 3), (2, 3): F(2)}, base_point=1)
-    k3 = Poly({(0, 3): F(5, 4)}, base_point=1)
-    for f, g in ((mixed, k3), (k3, mixed),
-                 (Poly({(0, 2): F(1)}), Poly({(1, 3): F(1)}, base_point=2))):
-        with pytest.raises(ValueError):
-            poly_inner(S1, f, g)
 
 
 def test_positive_definiteness_of_poly_inner():
@@ -258,6 +230,32 @@ def test_params_validation():
         SobolevParams(order=0, chi=(F(2),))
     with pytest.raises(ValueError):
         SobolevParams(order=1, chi=(F(1), F(-1)))
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, "1/3", None, complex(1, 0)])
+def test_non_rational_weights_rejected(bad):
+    # Fraction(0.1) would be the binary fraction 3602879701896397/2**55
+    with pytest.raises(TypeError, match="chi"):
+        SobolevParams.order1(bad)
+    with pytest.raises(TypeError, match="chi"):
+        SobolevParams.of_weights([1, F(1, 2), bad])
+    with pytest.raises(TypeError, match="chi"):
+        gram_matrix(SobolevParams(order=1, chi=(1, bad)), 1, 1)
+    with pytest.raises(TypeError, match="energy weight"):
+        SobolevParams(order=1, chi=(1, 1), energy_weights=(1, bad))
+    row = (F(1), F(0), F(0))
+    with pytest.raises(TypeError, match="boundary matrix entry"):
+        SobolevParams(order=0, boundary_matrices=((row, (F(0), bad, F(0)), row),))
+    with pytest.raises(TypeError, match="chi"):
+        chi_asymptotics(3, 3, [bad])
+
+
+def test_integer_weights_are_stored_as_fractions():
+    params = SobolevParams(order=2, chi=(1, 2, 0), energy_weights=[1])
+    assert params.chi == (F(1), F(2), F(0)) and params.energy_weights == (F(1),)
+    assert all(type(c) is F for c in params.chi + params.energy_weights)
+    assert SobolevParams.order1(1) == SobolevParams(order=1, chi=(F(1), F(1)))
+    assert chi_asymptotics(3, 3, [1000])["rows"][0]["chi"] == "1000"
 
 
 def test_gram_matrix_shapes_and_symmetry():
