@@ -16,8 +16,8 @@ from .families import (OPFamily, associated_family, gram_schmidt, green_seq,
 from .grid import (FieldOnGrid, LevelGrid, build_grid, count_sign_changes,
                    harmonic_extend, multiharmonic_extend, restrict_edge)
 from .addresses import VertexAddress, spine_address
-from .inner import (GramMatrix, SobolevParams, energy_inner, extended_inner,
-                    gram_matrix, mono_inner, mono_inner_l2, poly_inner)
+from .inner import (GramMatrix, SobolevParams, gram_matrix, mono_inner,
+                    mono_inner_l2, poly_inner)
 from .interp import (InterpolationMatrix, NodeSet, QuadratureRule,
                      composite_quadrature, degenerate_spine_nodes,
                      interpolation_matrix, quadrature_error_study,

@@ -114,7 +114,7 @@ def _recurrence_failure(fam) -> str:
 
 def check_recurrence_equivalence(maxdeg: int = 8, higher_maxdeg: int = 7) -> CheckResult:
     """The recurrence tables rebuild Gram-Schmidt coefficient-for-coefficient."""
-    p2 = SobolevParams.of_weights([1, 1, 1])
+    p2 = SobolevParams([1, 1, 1])
     for label, build in (
             ("three-term family 2", lambda: sobolev_three_term(2, 1, maxdeg)),
             ("three-term family 3", lambda: sobolev_three_term(3, 1, maxdeg)),
@@ -137,7 +137,7 @@ def check_ode_identities(nmax: int = 6, higher_nmax: int = 4) -> CheckResult:
                 if not ode_residual(n, chi, fam).is_zero():
                     return CheckResult("ode-identities", False,
                                        f"order-1 residual n={n} k={fam} chi={rat_str(chi)}")
-    p2 = SobolevParams.of_weights([1, 1, 1])
+    p2 = SobolevParams([1, 1, 1])
     for fam in (2, 3):
         for n in range(2, higher_nmax + 1):
             if not higher_ode_residual(n, p2, fam).is_zero():

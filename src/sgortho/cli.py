@@ -102,7 +102,7 @@ def _params_from_args(args) -> SobolevParams:
     if len(chis) != order:
         raise UsageError(f"--chi gives {len(chis)} weights; --m {order} needs "
                          f"1 or {order}")
-    return SobolevParams.of_weights((Rat(1),) + tuple(chis))
+    return SobolevParams((Rat(1),) + tuple(chis))
 
 
 def _build_family(family: int, params: SobolevParams, degree: int, method: str):

@@ -64,7 +64,7 @@ import threading
 from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, MathematicalAssumptionError
-from .inner import SobolevParams, extended_inner, mono_inner_l2, poly_inner
+from .inner import SobolevParams, mono_inner_l2, poly_inner
 from .poly import Poly
 from .rationals import ZERO, rat_str
 
@@ -92,7 +92,7 @@ class OPFamily:
         """Exact pairwise orthogonality of the stored polynomials."""
         for i in range(len(self.polys)):
             for j in range(i):
-                if extended_inner(self.params, self.polys[i], self.polys[j]) != 0:
+                if poly_inner(self.params, self.polys[i], self.polys[j]) != 0:
                     return False
         return True
 
@@ -114,7 +114,7 @@ def _orthogonalize(params: SobolevParams, f: Poly, polys: list[Poly],
                    norms: list, window) -> tuple[Poly, list]:
     """f minus its projections onto polys[i] for i in window, and the
     projection coefficients <f, polys[i]> / norms[i] in window order."""
-    coefs = [extended_inner(params, f, polys[i]) / norms[i] for i in window]
+    coefs = [poly_inner(params, f, polys[i]) / norms[i] for i in window]
     return f.combination([(-c, polys[i]) for i, c in zip(window, coefs)]), coefs
 
 
@@ -122,7 +122,7 @@ def _leading_norm(params: SobolevParams, s: Poly, family: int):
     """<s, s> for a monic s orthogonal to every lower degree of its family,
     as <s, P_{deg s, family}>: s - P_{deg s, family} lies in the span of the
     lower degrees, so it contributes nothing."""
-    return extended_inner(params, s, Poly.monomial(s.degree, family))
+    return poly_inner(params, s, Poly.monomial(s.degree, family))
 
 
 _lock = threading.RLock()  # extension appends by index; builders nest
@@ -329,9 +329,6 @@ def sobolev_higher(params: SobolevParams, family: int, maxdeg: int) -> OPFamily:
         raise ValueError("higher recurrence needs order >= 2")
     if params.chi[m] <= 0:
         raise ValueError("top Sobolev weight must be positive")
-    if params.energy_weights or params.boundary_matrices:
-        raise ValueError("higher recurrence needs a plain order-m product "
-                         "(no energy or corner terms)")
     fam = gram_schmidt(params, family, maxdeg)
     fam.method = "higher-recurrence"
     if maxdeg <= m:
@@ -358,7 +355,7 @@ def associated_family(chi, family: int, maxdeg: int) -> OPFamily:
     u: dict[int, object] = {}
     if maxdeg >= 1:
         polys.append(fs[1])
-        norms.append(extended_inner(params, fs[1], fs[1]))
+        norms.append(poly_inner(params, fs[1], fs[1]))
     for n in range(2, maxdeg + 1):
         v, coefs = _orthogonalize(params, fs[n], polys, norms,
                                   (n - 1, n - 2) if n >= 3 else (n - 1,))
@@ -366,7 +363,7 @@ def associated_family(chi, family: int, maxdeg: int) -> OPFamily:
         if n >= 3:
             u[n] = -coefs[1]
         polys.append(v)
-        norms.append(extended_inner(params, v, v))
+        norms.append(poly_inner(params, v, v))
     for i in range(1, maxdeg + 1):
         for j in range(1, i):
             if poly_inner(params, polys[i], polys[j]) != 0:

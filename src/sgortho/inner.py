@@ -33,10 +33,6 @@ x_a y_b L2(a - r, b - r) as an integer over the common denominator of its
 (cached) L2 values, so there is one rational reduction per Laplacian order
 and one final division by D_f D_g, instead of three Fraction operations per
 pair of terms.  mono_inner keeps the per-monomial form for Gram matrices.
-
-The energy form is evaluated through Gauss-Green as well:
-E(f, g) = -<Lap f, g>_2 + sum_l g(q_l) dn f(q_l), which is its normative
-definition here (the graph-energy limit is used only as a test oracle).
 """
 
 from __future__ import annotations
@@ -89,79 +85,31 @@ def mono_inner_l2(a: Index, b: Index):
     return value
 
 
-def _psd_3x3(m) -> bool:
-    """Exact positive semi-definiteness test for a symmetric 3x3 matrix."""
-    for r in range(3):
-        for c in range(r):
-            if m[r][c] != m[c][r]:
-                return False
-    if any(m[d][d] < 0 for d in range(3)):
-        return False
-    for r in range(3):
-        for c in range(r + 1, 3):
-            if m[r][r] * m[c][c] - m[r][c] * m[c][r] < 0:
-                return False
-    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    return det >= 0
-
-
-def _rationals(values, where: str) -> tuple:
-    """`values` as a tuple of Fractions; anything but an int or a Fraction
-    is a TypeError."""
-    values = tuple(values)
-    for c in values:
-        _check_rational(c, where)
-    return tuple(Rat(c) for c in values)
-
-
 @dataclass(frozen=True)
 class SobolevParams:
-    """Descriptor of an order-m Sobolev inner product.
+    """Weights of the order-m Sobolev product, m = order = len(chi) - 1.
 
-    chi has length order+1 with chi[0] = 1; entry r weights <Lap^r f, Lap^r g>_2.
-    The optional energy weights and boundary matrices add the terms
-    sum_l chi'_l E(Lap^l f, Lap^l g) and the corner quadratic forms with the
-    (positive semi-definite) matrices M_l.  order = 0 with no optional terms
-    is the plain L2 product.
+    chi[0] = 1, and the nonnegative entry chi[r] weights <Lap^r f, Lap^r g>_2;
+    chi = (1,) is the plain L2 product.
     """
 
-    order: int = 0
     chi: tuple = (ONE,)
-    energy_weights: tuple | None = None
-    boundary_matrices: tuple | None = None
 
     def __post_init__(self):
-        # Fractions in tuples all the way down, so that params can key the
-        # family memo; a float weight is a TypeError, not a binary fraction
-        object.__setattr__(self, "chi", _rationals(self.chi, "chi"))
-        if self.energy_weights is not None:
-            object.__setattr__(self, "energy_weights",
-                               _rationals(self.energy_weights, "energy weight"))
-        if self.boundary_matrices is not None:
-            object.__setattr__(self, "boundary_matrices", tuple(
-                tuple(_rationals(row, "boundary matrix entry") for row in m)
-                for m in self.boundary_matrices))
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
-        if len(self.chi) != self.order + 1:
-            raise ValueError(f"chi must have {self.order + 1} entries")
-        if self.chi[0] != 1:
+        # Fractions in a tuple, so that params can key the family memo; a
+        # float weight is a TypeError, not a binary fraction
+        chi = tuple(self.chi)
+        for c in chi:
+            _check_rational(c, "chi")
+        object.__setattr__(self, "chi", tuple(Rat(c) for c in chi))
+        if not self.chi or self.chi[0] != 1:
             raise ValueError("chi[0] must be 1")
         if any(c < 0 for c in self.chi):
             raise ValueError("chi weights must be nonnegative")
-        if self.energy_weights is not None:
-            if len(self.energy_weights) > self.order + 1:
-                raise ValueError("too many energy weights")
-            if any(w < 0 for w in self.energy_weights):
-                raise ValueError("energy weights must be nonnegative")
-        if self.boundary_matrices is not None:
-            if len(self.boundary_matrices) > self.order + 1:
-                raise ValueError("too many boundary matrices")
-            for m in self.boundary_matrices:
-                if not _psd_3x3(m):
-                    raise ValueError("boundary matrices must be symmetric PSD")
+
+    @property
+    def order(self) -> int:
+        return len(self.chi) - 1
 
     @staticmethod
     def l2() -> "SobolevParams":
@@ -169,22 +117,10 @@ class SobolevParams:
 
     @staticmethod
     def order1(chi) -> "SobolevParams":
-        return SobolevParams(order=1, chi=(ONE, chi))
-
-    @staticmethod
-    def of_weights(chis) -> "SobolevParams":
-        """Params from the full weight list (chi_0, ..., chi_m); chi_0 must be 1."""
-        chis = tuple(chis)
-        return SobolevParams(order=len(chis) - 1, chi=chis)
+        return SobolevParams((ONE, chi))
 
     def to_json_dict(self) -> dict:
-        out = {"m": self.order, "chi": [rat_str(c) for c in self.chi]}
-        if self.energy_weights is not None:
-            out["energy_weights"] = [rat_str(w) for w in self.energy_weights]
-        if self.boundary_matrices is not None:
-            out["boundary_matrices"] = [[[rat_str(x) for x in row] for row in m]
-                                        for m in self.boundary_matrices]
-        return out
+        return {"m": self.order, "chi": [rat_str(c) for c in self.chi]}
 
 
 def mono_inner(params: SobolevParams, a: Index, b: Index):
@@ -218,35 +154,6 @@ def poly_inner(params: SobolevParams, f: Poly, g: Poly):
             acc += x * sum(y * l for (_, y), l in zip(g_r, l2[i * n:(i + 1) * n]))
         total += chi * Rat(acc, den_l)
     return total / (f.den * g.den)
-
-
-def energy_inner(f: Poly, g: Poly):
-    """Exact energy form E(f, g) via Gauss-Green on the coefficient maps."""
-    lap_f = f.laplacian()
-    total = -poly_inner(SobolevParams.l2(), lap_f, g)
-    for v in (0, 1, 2):
-        total += g.boundary_value(v) * f.normal_derivative(v)
-    return total
-
-
-def extended_inner(params: SobolevParams, f: Poly, g: Poly):
-    """S^m product plus optional energy terms and corner quadratic forms."""
-    total = poly_inner(params, f, g)
-    if params.energy_weights:
-        df, dg = f, g
-        for w in params.energy_weights:
-            if w != 0:
-                total += w * energy_inner(df, dg)
-            df, dg = df.laplacian(), dg.laplacian()
-    if params.boundary_matrices:
-        df, dg = f, g
-        for m in params.boundary_matrices:
-            vf = [df.boundary_value(v) for v in (0, 1, 2)]
-            vg = [dg.boundary_value(v) for v in (0, 1, 2)]
-            total += sum((vf[r] * m[r][c] * vg[c]
-                          for r in range(3) for c in range(3)), ZERO)
-            df, dg = df.laplacian(), dg.laplacian()
-    return total
 
 
 def basis_indices(family, maxdeg: int) -> list[Index]:

@@ -12,8 +12,7 @@ from sgortho.families import (associated_family, corner_normal_of_green_image,
                               legendre_recurrence_coeffs, limit_family_sym,
                               sobolev_four_term, sobolev_higher,
                               sobolev_three_term)
-from sgortho.inner import (SobolevParams, extended_inner, mono_inner_l2,
-                           poly_inner)
+from sgortho.inner import SobolevParams, mono_inner_l2, poly_inner
 from sgortho.poly import Poly
 
 L2 = SobolevParams.l2()
@@ -266,7 +265,7 @@ def test_four_term_corner_combination():
 
 
 def test_higher_recurrence_matches_gram_schmidt():
-    params = SobolevParams.of_weights([1, 1, 1])
+    params = SobolevParams([1, 1, 1])
     for fam in (2, 3):
         polys, _, _ = _step_by_step(fam, params, 7)
         assert polys == gram_schmidt(params, fam, 7).polys
@@ -275,9 +274,7 @@ def test_higher_recurrence_matches_gram_schmidt():
     with pytest.raises(ValueError):
         sobolev_higher(params, 1, 4)
     with pytest.raises(ValueError):
-        sobolev_higher(SobolevParams.of_weights([1, 1, 0]), 2, 4)
-    with pytest.raises(ValueError):
-        sobolev_higher(SobolevParams(order=2, chi=(1, 1, 1), energy_weights=(1,)), 2, 4)
+        sobolev_higher(SobolevParams([1, 1, 0]), 2, 4)
 
 
 def _weights(order, chi):
@@ -292,7 +289,7 @@ def _weights(order, chi):
                                           (3, 2), (2, 3), (3, 3)])
 @pytest.mark.parametrize("chi", [F(0), F(1), F(3, 8), F(9, 7), F(100)], ids=str)
 def test_recurrence_tables_match_step_by_step(family, order, chi):
-    params = SobolevParams.of_weights(_weights(order, chi))
+    params = SobolevParams(_weights(order, chi))
     for maxdeg in range(13):
         built = _build(family, params, maxdeg)
         polys, norms, table = _step_by_step(family, params, maxdeg)
@@ -302,7 +299,7 @@ def test_recurrence_tables_match_step_by_step(family, order, chi):
 
 
 def test_higher_recurrence_uses_2m_trailing_terms():
-    params = SobolevParams.of_weights([1, 1, 1])
+    params = SobolevParams([1, 1, 1])
     hi = sobolev_higher(params, 3, 8)
     # for n with all indices in range, exactly 2m = 4 coefficients are stored
     n_full = 4
@@ -311,7 +308,7 @@ def test_higher_recurrence_uses_2m_trailing_terms():
 
 
 def test_higher_norm_lower_bound():
-    params = SobolevParams.of_weights([1, 1, 1])
+    params = SobolevParams([1, 1, 1])
     for fam in (2, 3):
         hi = sobolev_higher(params, fam, 7)
         leg = legendre(fam, 7)
@@ -343,7 +340,7 @@ def test_norm_chain():
 ])
 def test_norms_from_leading_monomial_match_full_products(family, weights):
     # the builders take |s_n|^2 as <s_n, P_{n,k}>; check it against <s_n, s_n>
-    params = SobolevParams.of_weights(weights)
+    params = SobolevParams(weights)
     if params.order == 0:
         built = legendre(family, 12)
     elif params.order == 2:
@@ -352,17 +349,8 @@ def test_norms_from_leading_monomial_match_full_products(family, weights):
         built = sobolev_four_term(weights[1], 12)
     else:
         built = sobolev_three_term(family, weights[1], 12)
-    assert built.norms_sq == [extended_inner(params, s, s) for s in built.polys]
+    assert built.norms_sq == [poly_inner(params, s, s) for s in built.polys]
     assert built.norms_sq == gram_schmidt(params, family, 12).norms_sq
-
-
-def test_gram_schmidt_leading_norms_with_energy_and_corner_terms():
-    ident = tuple(tuple(F(int(r == c)) for c in range(3)) for r in range(3))
-    params = SobolevParams(order=1, chi=(F(1), F(1, 2)),
-                           energy_weights=(F(2), F(1, 3)), boundary_matrices=(ident,))
-    for family in (1, 2, 3):
-        gs = gram_schmidt(params, family, 7)
-        assert gs.norms_sq == [extended_inner(params, s, s) for s in gs.polys]
 
 
 def test_sobolev_norm_lower_bound():
@@ -515,11 +503,8 @@ def test_concurrent_builders_match_serial(monkeypatch):
 
 
 def test_gram_schmidt_accepts_params_built_from_lists():
-    ident = [[F(int(r == c)) for c in range(3)] for r in range(3)]
-    params = SobolevParams(order=1, chi=[F(1), F(2)], energy_weights=[F(1)],
-                           boundary_matrices=[ident])
+    params = SobolevParams([F(1), F(2)])
     fam = gram_schmidt(params, 2, 3)
     assert fam.check_orthogonal()
     assert fam.polys == gram_schmidt(params, 2, 3).polys
-    plain = gram_schmidt(SobolevParams(order=1, chi=[F(1), F(2)]), 2, 3)
-    assert plain.polys == gram_schmidt(SobolevParams.order1(2), 2, 3).polys
+    assert fam.polys == gram_schmidt(SobolevParams.order1(2), 2, 3).polys

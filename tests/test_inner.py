@@ -7,8 +7,7 @@ import pytest
 
 from sgortho.coeffs import TABLE
 from sgortho.families import sobolev_three_term
-from sgortho.inner import (SobolevParams, _l2_cache, energy_inner,
-                           extended_inner, gram_matrix, mono_inner,
+from sgortho.inner import (SobolevParams, _l2_cache, gram_matrix, mono_inner,
                            mono_inner_l2, poly_inner)
 from sgortho.linalg import bareiss_det
 from sgortho.odes import chi_asymptotics
@@ -72,7 +71,7 @@ def test_cross_family_of_antisymmetric_is_zero():
 
 
 def test_sobolev_is_shifted_l2_sum():
-    params = SobolevParams.of_weights([1, F(1, 2), 3])
+    params = SobolevParams([1, F(1, 2), 3])
     for j in range(4):
         for k in range(4):
             for fam in (1, 2, 3):
@@ -112,8 +111,8 @@ def _random_poly(rng, families):
 ORACLE_PARAMS = {
     "l2": L2,
     "order1": SobolevParams.order1(F(3, 7)),
-    "order2": SobolevParams.of_weights([1, F(2, 3), F(1, 9)]),
-    "order2-chi1-zero": SobolevParams.of_weights([1, 0, F(5, 2)]),
+    "order2": SobolevParams([1, F(2, 3), F(1, 9)]),
+    "order2-chi1-zero": SobolevParams([1, 0, F(5, 2)]),
 }
 
 
@@ -161,75 +160,10 @@ def test_positive_definiteness_of_poly_inner():
             poly_inner(S1, Poly.monomial(0, 1), f)
 
 
-def test_energy_examples():
-    p01, p02, p03 = (Poly.monomial(0, k) for k in (1, 2, 3))
-    assert energy_inner(p01, p02) == 0
-    assert energy_inner(p01, Poly.monomial(3, 2)) == 0
-    assert energy_inner(p02, p02) == F(1, 2)
-    assert energy_inner(p02, p03) == 0
-    rng = random.Random(9)
-    for _ in range(10):
-        f = Poly({(rng.randint(0, 3), rng.choice((1, 2, 3))): F(rng.randint(-4, 4))
-                  for _ in range(3)})
-        g = Poly({(rng.randint(0, 3), rng.choice((1, 2, 3))): F(rng.randint(-4, 4))
-                  for _ in range(3)})
-        assert energy_inner(f, g) == energy_inner(g, f)
-
-
-def test_energy_matches_renormalized_graph_energy_for_harmonics():
-    # independent oracle: for harmonic u, v the renormalized level-m graph
-    # energy (5/3)^m E_m(u, v) equals the energy form at every level
-    from sgortho.grid import _corner_table, harmonic_extend
-
-    p02 = Poly.monomial(0, 2)
-    p03 = Poly.monomial(0, 3)
-    for m in (1, 2, 3):
-        u = harmonic_extend([0, F(-1, 2), F(-1, 2)], m)
-        v = harmonic_extend([0, F(1, 2), F(-1, 2)], m)
-        e_uu = F(0)
-        e_uv = F(0)
-        # every edge of the level-m graph lies in exactly one m-cell
-        for a0, a1, a2 in _corner_table(m):
-            for i, j in ((a0, a1), (a0, a2), (a1, a2)):
-                du = u.values[i] - u.values[j]
-                dv = v.values[i] - v.values[j]
-                e_uu += du * du
-                e_uv += du * dv
-        scale = F(5, 3) ** m
-        assert scale * e_uu == energy_inner(p02, p02)
-        assert scale * e_uv == energy_inner(p02, p03)
-
-
-def test_extended_inner_reductions_and_examples():
-    one = Poly.monomial(0, 1)
-    zero_extras = SobolevParams(order=0, chi=(F(1),), energy_weights=(F(0),),
-                                boundary_matrices=((tuple([F(0)] * 3),) * 3,))
-    assert extended_inner(zero_extras, one, one) == poly_inner(L2, one, one)
-    ident = tuple(tuple(F(1) if r == c else F(0) for c in range(3))
-                  for r in range(3))
-    with_mass = SobolevParams(order=0, chi=(F(1),), boundary_matrices=(ident,))
-    assert extended_inner(with_mass, one, one) == 1 + 3
-    with_energy = SobolevParams(order=0, chi=(F(1),), energy_weights=(F(1),))
-    assert extended_inner(with_energy, one, one) == poly_inner(L2, one, one)
-
-
-def test_non_psd_boundary_matrix_rejected():
-    bad = tuple(tuple(F(-1) if r == c else F(0) for c in range(3))
-                for r in range(3))
-    with pytest.raises(ValueError):
-        SobolevParams(order=0, chi=(F(1),), boundary_matrices=(bad,))
-    asym = ((F(1), F(2), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)))
-    with pytest.raises(ValueError):
-        SobolevParams(order=0, chi=(F(1),), boundary_matrices=(asym,))
-
-
 def test_params_validation():
-    with pytest.raises(ValueError):
-        SobolevParams(order=1, chi=(F(1),))
-    with pytest.raises(ValueError):
-        SobolevParams(order=0, chi=(F(2),))
-    with pytest.raises(ValueError):
-        SobolevParams(order=1, chi=(F(1), F(-1)))
+    for chi in ((F(2),), (F(1), F(-1)), ()):
+        with pytest.raises(ValueError):
+            SobolevParams(chi)
 
 
 @pytest.mark.parametrize("bad", [0.1, 1.0, "1/3", None, complex(1, 0)])
@@ -238,23 +172,21 @@ def test_non_rational_weights_rejected(bad):
     with pytest.raises(TypeError, match="chi"):
         SobolevParams.order1(bad)
     with pytest.raises(TypeError, match="chi"):
-        SobolevParams.of_weights([1, F(1, 2), bad])
+        SobolevParams([1, F(1, 2), bad])
     with pytest.raises(TypeError, match="chi"):
-        gram_matrix(SobolevParams(order=1, chi=(1, bad)), 1, 1)
-    with pytest.raises(TypeError, match="energy weight"):
-        SobolevParams(order=1, chi=(1, 1), energy_weights=(1, bad))
-    row = (F(1), F(0), F(0))
-    with pytest.raises(TypeError, match="boundary matrix entry"):
-        SobolevParams(order=0, boundary_matrices=((row, (F(0), bad, F(0)), row),))
+        gram_matrix(SobolevParams((1, bad)), 1, 1)
     with pytest.raises(TypeError, match="chi"):
         chi_asymptotics(3, 3, [bad])
 
 
 def test_integer_weights_are_stored_as_fractions():
-    params = SobolevParams(order=2, chi=(1, 2, 0), energy_weights=[1])
-    assert params.chi == (F(1), F(2), F(0)) and params.energy_weights == (F(1),)
-    assert all(type(c) is F for c in params.chi + params.energy_weights)
-    assert SobolevParams.order1(1) == SobolevParams(order=1, chi=(F(1), F(1)))
+    params = SobolevParams([1, 2, 0])
+    assert params.chi == (F(1), F(2), F(0)) and params.order == 2
+    assert all(type(c) is F for c in params.chi)
+    assert params.to_json_dict() == {"m": 2, "chi": ["1", "2", "0"]}
+    # params key the Gram-Schmidt memo: equal weights, equal key
+    assert SobolevParams([1, 1]) == SobolevParams.order1(1)
+    assert hash(SobolevParams([1, 1])) == hash(SobolevParams.order1(1))
     assert chi_asymptotics(3, 3, [1000])["rows"][0]["chi"] == "1000"
 
 
@@ -295,7 +227,7 @@ def test_gram_mixed_positive_definite():
 
 
 def test_sobolev_gram_is_weighted_shift_of_l2_gram():
-    params = SobolevParams.of_weights([1, F(2, 3)])
+    params = SobolevParams([1, F(2, 3)])
     gm = gram_matrix(params, 2, 5)
     for r, (j, _) in enumerate(gm.basis):
         for c, (k, _) in enumerate(gm.basis):

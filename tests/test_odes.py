@@ -22,13 +22,13 @@ def test_ode_residual_is_zero(n, chi, family):
 
 @pytest.mark.parametrize("n,family", [(2, 3), (2, 2), (3, 2), (3, 3), (4, 3)])
 def test_higher_ode_residual_is_zero(n, family):
-    params = SobolevParams.of_weights([1, 1, 1])
+    params = SobolevParams([1, 1, 1])
     assert higher_ode_residual(n, params, family).is_zero()
 
 
 def test_higher_ode_rejects_low_degree():
     with pytest.raises(ValueError):
-        higher_ode_residual(1, SobolevParams.of_weights([1, 1, 1]), 2)
+        higher_ode_residual(1, SobolevParams([1, 1, 1]), 2)
 
 
 def test_ode_left_side_degree():
