@@ -13,8 +13,8 @@ once per side and pair, ten pairs, alternating which side runs first, then
 one `--trace 1` run per side; run.py sets the run length.  It records each
 side's environment as run.py reports it (Python version, rationals backend,
 nproc, source digest), and each end-to-end metric's values, median and
-quartiles per side, and the pairs the change won (ties count for neither
-side).  The output is BENCH_<pr>.json for seed 0 and BENCH_<pr>_seed<S>.json
+quartiles per side, the pairs the change won (ties count for neither
+side) and a verdict per metric (see `verdict`).  The output is BENCH_<pr>.json for seed 0 and BENCH_<pr>_seed<S>.json
 for any other seed, so a held-out seed gets a file of its own.
 
 Before timing, it runs every command of `digest_commands()` on both sides
@@ -167,6 +167,22 @@ def summary(values: list[float]) -> dict:
             "n": len(values), "values": values}
 
 
+def verdict(parent: dict, change: dict, won: int, better: str,
+            bound: float) -> str:
+    """`gain` when the change wins at least 9 in 10 pairs and its median is
+    better by more than the parent's interquartile range; `worse` when its
+    median is worse by more than `bound` (the metric's bound in
+    BENCHMARK.json, a fraction of the parent's median); else `unresolved`."""
+    worse_by = change["median"] - parent["median"]
+    if better == "higher":
+        worse_by = -worse_by
+    if 10 * won >= 9 * parent["n"] and -worse_by > parent["q3"] - parent["q1"]:
+        return "gain"
+    if worse_by > bound * abs(parent["median"]):
+        return "worse"
+    return "unresolved"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -183,6 +199,7 @@ def main() -> int:
         parser.error("workloads must be among " + ",".join(WORKLOADS))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     parent_sha = _git("rev-parse", "HEAD").decode().strip()
 
     base = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
@@ -231,6 +248,10 @@ def main() -> int:
                 m: sum((c < p) if better[m] == "lower" else (c > p)
                        for p, c in zip(row["parent"][m]["values"],
                                        row["change"][m]["values"]))
+                for m in better}
+            row["verdict"] = {
+                m: verdict(row["parent"][m], row["change"][m],
+                           row["pairs_won_by_change"][m], better[m], bound[m])
                 for m in better}
             row["trace"] = {s: {m: v["value"] for m, v in
                                 bench(p, w, args.seed, 1)[1]["metrics"].items()}

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 from .coeffs import TABLE
 from .families import (associated_family, gram_schmidt, green_seq, legendre,
@@ -40,14 +39,16 @@ from .addresses import spine_address
 L2 = SobolevParams.l2()
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-    expected_fail: bool = False
-    report_only: bool = False
-    seconds: float = 0.0
+    def __init__(self, name: str, passed: bool, detail: str = "",
+                 expected_fail: bool = False, report_only: bool = False,
+                 seconds: float = 0.0):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.expected_fail = expected_fail
+        self.report_only = report_only
+        self.seconds = seconds
 
     @property
     def status(self) -> str:

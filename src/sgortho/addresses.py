@@ -9,13 +9,34 @@ the lexicographically smaller of the two twins, so equal points compare equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True, order=True)
 class VertexAddress:
-    word: tuple[int, ...]
-    corner: int
+    """An immutable (word, corner) pair, ordered, equal and hashed by value."""
+
+    __slots__ = ("word", "corner")
+
+    def __init__(self, word: tuple[int, ...], corner: int):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "corner", corner)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to VertexAddress.{name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not VertexAddress:
+            return NotImplemented
+        return self.word == other.word and self.corner == other.corner
+
+    def __lt__(self, other):
+        if other.__class__ is not VertexAddress:
+            return NotImplemented
+        return (self.word, self.corner) < (other.word, other.corner)
+
+    def __hash__(self):
+        return hash((self.word, self.corner))
+
+    def __repr__(self) -> str:
+        return f"VertexAddress({self.word!r}, {self.corner!r})"
 
     @staticmethod
     def make(word, corner: int) -> "VertexAddress":

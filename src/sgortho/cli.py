@@ -16,7 +16,9 @@ internal consistency check).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .acceptance import run_all
@@ -76,6 +78,20 @@ def _write(out_path: str | None, text: str) -> None:
                              f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _check_out(out_path: str | None) -> None:
+    """Refuse, before any work, an --out that names a directory or lies in
+    one that does not exist; the file itself is not touched until `_write`."""
+    if not out_path:
+        return
+    if os.path.isdir(out_path):
+        reason = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(out_path) or "."):
+        reason = errno.ENOENT
+    else:
+        return
+    raise UsageError(f"cannot write --out {out_path}: {os.strerror(reason)}")
 
 
 def _csv(rows, header) -> str:
@@ -395,6 +411,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.fn(args)
     except UsageError as exc:
         parser.error(str(exc))

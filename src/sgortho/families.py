@@ -61,7 +61,6 @@ fresh lists, so callers may modify results freely.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, MathematicalAssumptionError
 from .inner import SobolevParams, mono_inner_l2, poly_inner
@@ -71,7 +70,6 @@ from .rationals import ZERO, rat_str
 L2 = SobolevParams.l2()
 
 
-@dataclass
 class OPFamily:
     """A monic orthogonal family with its exact squared norms.
 
@@ -81,12 +79,15 @@ class OPFamily:
     Every builder call returns a new instance with its own lists.
     """
 
-    family: int
-    params: SobolevParams
-    polys: list[Poly]
-    norms_sq: list
-    method: str = "gram-schmidt"
-    recurrence: dict = field(default_factory=dict)
+    def __init__(self, family: int, params: SobolevParams, polys: list[Poly],
+                 norms_sq: list, method: str = "gram-schmidt",
+                 recurrence: dict | None = None):
+        self.family = family
+        self.params = params
+        self.polys = polys
+        self.norms_sq = norms_sq
+        self.method = method
+        self.recurrence = {} if recurrence is None else recurrence
 
     def check_orthogonal(self) -> bool:
         """Exact pairwise orthogonality of the stored polynomials."""

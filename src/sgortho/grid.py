@@ -33,7 +33,6 @@ carries a factor sqrt(3) and is rendered, correctly rounded, by `isqrt`.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from itertools import product
 from math import isqrt
 
@@ -72,11 +71,28 @@ def _corner_table(level: int) -> list[tuple[int, int, int]]:
         return _corner_tables[level]
 
 
-@dataclass(frozen=True)
 class LevelGrid:
-    """The level-m graph, its vertices numbered as in the module docstring."""
+    """The level-m graph, its vertices numbered as in the module docstring.
+    Immutable, equal and hashed by its level."""
 
-    m: int
+    __slots__ = ("m",)
+
+    def __init__(self, m: int):
+        object.__setattr__(self, "m", m)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to LevelGrid.{name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not LevelGrid:
+            return NotImplemented
+        return self.m == other.m
+
+    def __hash__(self):
+        return hash(self.m)
+
+    def __repr__(self) -> str:
+        return f"LevelGrid({self.m!r})"
 
     @property
     def vertices(self) -> list[VertexAddress]:
@@ -132,7 +148,6 @@ def _address_order(m: int) -> list[tuple[int, str]]:
     return rows
 
 
-@dataclass
 class FieldOnGrid:
     """Exact rational values attached to every vertex of a level grid.
 
@@ -144,12 +159,11 @@ class FieldOnGrid:
     `value_at`.
     """
 
-    grid: LevelGrid
-    values: list
-
-    def __post_init__(self):
-        if len(self.values) != _vertex_count(self.grid.m):
+    def __init__(self, grid: LevelGrid, values: list):
+        if len(values) != _vertex_count(grid.m):
             raise ValueError("value array length must match the grid")
+        self.grid = grid
+        self.values = values
 
     def value_at(self, addr: VertexAddress):
         """The value at a canonical address of level <= the field's level."""

@@ -37,8 +37,6 @@ pair of terms.  mono_inner keeps the per-monomial form for Gram matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .coeffs import TABLE
 from .poly import Poly, _check_rational
 from .rationals import ONE, ZERO, Rat, over_common_denominator, rat_str
@@ -85,27 +83,41 @@ def mono_inner_l2(a: Index, b: Index):
     return value
 
 
-@dataclass(frozen=True)
 class SobolevParams:
     """Weights of the order-m Sobolev product, m = order = len(chi) - 1.
 
     chi[0] = 1, and the nonnegative entry chi[r] weights <Lap^r f, Lap^r g>_2;
-    chi = (1,) is the plain L2 product.
+    chi = (1,) is the plain L2 product.  Immutable, equal and hashed by chi.
     """
 
-    chi: tuple = (ONE,)
+    __slots__ = ("chi",)
 
-    def __post_init__(self):
+    def __init__(self, chi: tuple = (ONE,)):
         # Fractions in a tuple, so that params can key the family memo; a
         # float weight is a TypeError, not a binary fraction
-        chi = tuple(self.chi)
+        chi = tuple(chi)
         for c in chi:
             _check_rational(c, "chi")
-        object.__setattr__(self, "chi", tuple(Rat(c) for c in chi))
-        if not self.chi or self.chi[0] != 1:
+        chi = tuple(Rat(c) for c in chi)
+        if not chi or chi[0] != 1:
             raise ValueError("chi[0] must be 1")
-        if any(c < 0 for c in self.chi):
+        if any(c < 0 for c in chi):
             raise ValueError("chi weights must be nonnegative")
+        object.__setattr__(self, "chi", chi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to SobolevParams.{name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not SobolevParams:
+            return NotImplemented
+        return self.chi == other.chi
+
+    def __hash__(self):
+        return hash(self.chi)
+
+    def __repr__(self) -> str:
+        return f"SobolevParams({self.chi!r})"
 
     @property
     def order(self) -> int:
@@ -165,11 +177,12 @@ def basis_indices(family, maxdeg: int) -> list[Index]:
     return [(j, family) for j in range(maxdeg + 1)]
 
 
-@dataclass(frozen=True)
 class GramMatrix:
-    params: SobolevParams
-    basis: tuple[Index, ...]
-    entries: tuple[tuple[object, ...], ...] = field(repr=False)
+    def __init__(self, params: SobolevParams, basis: tuple[Index, ...],
+                 entries: tuple[tuple[object, ...], ...]):
+        self.params = params
+        self.basis = basis
+        self.entries = entries
 
     def entry(self, r: int, c: int):
         return self.entries[r][c]

@@ -24,8 +24,6 @@ result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .addresses import VertexAddress, mapped, spine_address
 from .coeffs import TABLE
 from .errors import ConsistencyError
@@ -36,14 +34,12 @@ from .poly import Poly
 from .rationals import Rat, ZERO, rat_str
 
 
-@dataclass(frozen=True)
 class NodeSet:
-    nodes: tuple[VertexAddress, ...]
-    n: int
-
-    def __post_init__(self):
-        if len(set(self.nodes)) != len(self.nodes):
+    def __init__(self, nodes: tuple[VertexAddress, ...], n: int):
+        if len(set(nodes)) != len(nodes):
             raise ValueError("nodes must be distinct after canonicalization")
+        self.nodes = nodes
+        self.n = n
 
 
 def spine_nodes(n: int) -> NodeSet:
@@ -80,12 +76,12 @@ def eval_monomial_at(j: int, k: int, addr: VertexAddress):
     return multiharmonic_extend(mono.dirichlet_data(), addr.level).value_at(addr)
 
 
-@dataclass
 class InterpolationMatrix:
     """Node-by-monomial value matrix in the fixed mixed-basis column order."""
 
-    node_set: NodeSet
-    entries: list            # rows = nodes, cols = monomials, exact rationals
+    def __init__(self, node_set: NodeSet, entries: list):
+        self.node_set = node_set
+        self.entries = entries  # rows = nodes, cols = monomials, exact rationals
 
     def to_json_dict(self) -> dict:
         return {
@@ -117,13 +113,13 @@ def det_and_condition(matrix: InterpolationMatrix) -> tuple:
     return det, float(inf_norm(matrix.entries) * inf_norm(inverse))
 
 
-@dataclass(frozen=True)
 class QuadratureRule:
     """Exactness-degree-n rule on the spine nodes with exact weights."""
 
-    n: int
-    nodes: NodeSet
-    weights: tuple
+    def __init__(self, n: int, nodes: NodeSet, weights: tuple):
+        self.n = n
+        self.nodes = nodes
+        self.weights = weights
 
     def apply(self, values) -> object:
         return sum((w * v for w, v in zip(self.weights, values)), ZERO)

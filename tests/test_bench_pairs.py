@@ -52,3 +52,30 @@ def test_check_fails_on_a_changed_digest_or_exit_code(pairs, tmp_path, monkeypat
     assert pairs.check() == 1
     out, _ = capsys.readouterr()
     assert out.splitlines()[1].startswith("DIFFERS")
+
+
+def _side(values):
+    return {"median": sorted(values)[len(values) // 2], "q1": min(values),
+            "q3": max(values), "n": len(values)}
+
+
+@pytest.mark.parametrize("change, won, better, expected", [
+    # 9 of 10 pairs and a median lower by more than the parent's IQR (0.02)
+    ([0.8] * 10, 9, "lower", "gain"),
+    ([0.8] * 10, 10, "lower", "gain"),
+    # 8 of 10 pairs is not enough, however large the gain
+    ([0.5] * 10, 8, "lower", "unresolved"),
+    # every pair won, but by less than the parent's IQR
+    ([0.99] * 10, 10, "lower", "unresolved"),
+    # worse, but within the 25% bound
+    ([1.2] * 10, 0, "lower", "unresolved"),
+    # worse by more than the bound
+    ([1.3] * 10, 0, "lower", "worse"),
+    # higher is better: a lower median is a loss
+    ([0.7] * 10, 0, "higher", "worse"),
+    ([1.3] * 10, 10, "higher", "gain"),
+])
+def test_verdict_on_synthetic_runs(pairs, change, won, better, expected):
+    parent = _side([0.99, 1.0, 1.0, 1.01] * 2 + [0.99, 1.01])
+    assert parent["median"] == 1.0 and parent["q3"] - parent["q1"] == pytest.approx(0.02)
+    assert pairs.verdict(parent, _side(change), won, better, 0.25) == expected

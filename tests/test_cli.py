@@ -221,6 +221,30 @@ def test_unwritable_out_is_usage_error(tmp_path, where):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_is_refused_before_the_command_runs(tmp_path, where,
+                                                          monkeypatch, capsys):
+    # verify used to run all its checks and only then fail to write
+    path = tmp_path / "missing" / "x" if where == "missing directory" else tmp_path
+    calls = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append(args) or 0)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--quick", "--out", str(path)])
+    assert exc.value.code == 2
+    assert calls == []
+    assert f"cannot write --out {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_writable_out_is_created_only_by_the_write(tmp_path, monkeypatch):
+    path = tmp_path / "x.txt"
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify",
+                        lambda args: seen.append(path.exists()) or 0)
+    assert cli.main(["verify", "--quick", "--out", str(path)]) == 0
+    assert seen == [False] and not path.exists()
+
+
 @pytest.mark.parametrize("args", [
     # each of these used to escape as a ValueError traceback (exit 1)
     ["ops", "--family", "2", "--degree", "-1"],
