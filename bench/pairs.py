@@ -10,11 +10,13 @@ side starts its processes from a different place.
 
 For each workload the script runs `perfbench/run.py --workload W --seed S`
 once per side and pair, ten pairs, alternating which side runs first, then
-one `--trace 1` run per side; run.py sets the run length.  It records each
-side's environment as run.py reports it (Python version, rationals backend,
-nproc, source digest), and each end-to-end metric's values, median and
-quartiles per side, the pairs the change won (ties count for neither
-side) and a verdict per metric (see `verdict`).  The output is BENCH_<pr>.json for seed 0 and BENCH_<pr>_seed<S>.json
+two `--trace 1` runs per side in the order parent, change, change, parent;
+run.py sets the run length.  Each traced layer's values are kept per side
+as a list (`merge_traces`).  It records each side's environment as run.py
+reports it (Python version, rationals backend, nproc, source digest), and
+each end-to-end metric's values, median and quartiles per side, the pairs
+the change won (ties count for neither side) and a verdict per metric (see
+`verdict`).  The output is BENCH_<pr>.json for seed 0 and BENCH_<pr>_seed<S>.json
 for any other seed, so a held-out seed gets a file of its own.
 
 Before timing, it runs every command of `digest_commands()` on both sides
@@ -47,6 +49,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("grid", "family", "battery")
 PAIRS = 10
+# Traced runs, in order: each side runs once early and once late, so drift
+# over the four runs moves both sides' lists alike.
+TRACE_ORDER = ("parent", "change", "change", "parent")
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 try:
@@ -167,6 +172,14 @@ def summary(values: list[float]) -> dict:
             "n": len(values), "values": values}
 
 
+def merge_traces(runs: list[dict]) -> dict:
+    """Each metric's values over one side's traced runs, in run order, from
+    the `metrics` blocks of their result lines; None where a run lacks it."""
+    names = dict.fromkeys(name for run in runs for name in run)
+    return {name: [run[name]["value"] if name in run else None for run in runs]
+            for name in names}
+
+
 def verdict(parent: dict, change: dict, won: int, better: str,
             bound: float) -> str:
     """`gain` when the change wins at least 9 in 10 pairs and its median is
@@ -219,7 +232,8 @@ def main() -> int:
             "change": "working tree on " + parent_sha,
             "command": (f"python3 perfbench/run.py --workload W --seed {args.seed}; "
                         f"{PAIRS} pairs, alternating which side runs first; "
-                        "then one --trace 1 run per side"),
+                        "then --trace 1 runs in the order "
+                        + ", ".join(TRACE_ORDER)),
             "env": {},
             "digests": {"identical": identical, "commands": digests},
             "workloads": {},
@@ -253,9 +267,10 @@ def main() -> int:
                 m: verdict(row["parent"][m], row["change"][m],
                            row["pairs_won_by_change"][m], better[m], bound[m])
                 for m in better}
-            row["trace"] = {s: {m: v["value"] for m, v in
-                                bench(p, w, args.seed, 1)[1]["metrics"].items()}
-                            for s, p in sides.items()}
+            traced = {"parent": [], "change": []}
+            for s in TRACE_ORDER:
+                traced[s].append(bench(sides[s], w, args.seed, 1)[1]["metrics"])
+            row["trace"] = {s: merge_traces(ms) for s, ms in traced.items()}
             report["workloads"][w] = row
     finally:
         shutil.rmtree(base, ignore_errors=True)

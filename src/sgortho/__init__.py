@@ -7,8 +7,7 @@ evaluation, polynomial interpolation node sets and spline quadrature rules.
 Every internal quantity is an exact rational.
 """
 
-from .coeffs import (CoeffTable, TABLE, alpha, alpha_prime, beta, eta, gamma,
-                     monomial_integral, monomial_normal, monomial_value)
+from .coeffs import CoeffTable, TABLE
 from .errors import ConsistencyError, MathematicalAssumptionError
 from .families import (OPFamily, associated_family, gram_schmidt, green_seq,
                        legendre, legendre_recurrence_coeffs, limit_family_sym,

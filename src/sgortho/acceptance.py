@@ -24,7 +24,7 @@ from .coeffs import TABLE
 from .families import (associated_family, gram_schmidt, green_seq, legendre,
                        recurrence_steps, sobolev_four_term, sobolev_higher,
                        sobolev_three_term, step_weights)
-from .grid import count_sign_changes, restrict_edge
+from .grid import count_sign_changes, multiharmonic_extend, restrict_edge
 from .inner import SobolevParams, mono_inner_l2, poly_inner
 from .interp import (degenerate_spine_nodes, eval_monomial_at,
                      interpolation_matrix, quadrature_error_study,
@@ -75,13 +75,11 @@ def check_orthogonality(maxdeg: int = 8) -> CheckResult:
     """Every off-diagonal Sobolev inner product is the exact rational zero."""
     params = SobolevParams.order1(1)
     for fam in (1, 2, 3):
-        ops = gram_schmidt(params, fam, maxdeg)
-        for i in range(maxdeg + 1):
-            for j in range(i):
-                v = poly_inner(params, ops.polys[i], ops.polys[j])
-                if v != 0:
-                    return CheckResult("exact-orthogonality", False,
-                                       f"family {fam}: <s_{i}, s_{j}> = {rat_str(v)}")
+        pair = gram_schmidt(params, fam, maxdeg).nonorthogonal_pair()
+        if pair is not None:
+            i, j, v = pair
+            return CheckResult("exact-orthogonality", False,
+                               f"family {fam}: <s_{i}, s_{j}> = {rat_str(v)}")
     return CheckResult("exact-orthogonality", True,
                        f"families 1,2,3, chi=1, degrees <= {maxdeg}")
 
@@ -360,7 +358,7 @@ def check_interpolation(nmax: int = 3, beta_range: int = 50) -> CheckResult:
 
 
 def zero_count_report(level: int = 5, degrees=(3, 5), chi=1) -> CheckResult:
-    """Edge sign-change counts and max-norm ratios (report only, not gated)."""
+    """Exact edge sign-change counts and max-norm ratios (report only, not gated)."""
     lines = []
     for fam in (3,):
         leg = legendre(fam, max(degrees))
@@ -368,7 +366,7 @@ def zero_count_report(level: int = 5, degrees=(3, 5), chi=1) -> CheckResult:
         fields = {}
         for d in degrees:
             for label, poly in (("p", leg.polys[d]), ("s", sob.polys[d])):
-                fld = eval_poly_grid(poly, level)
+                fld = multiharmonic_extend(poly.dirichlet_data(), level)
                 fields[(label, d)] = fld
                 counts = {}
                 for edge in ("bottom", "left", "right"):
@@ -388,7 +386,7 @@ def zero_count_report(level: int = 5, degrees=(3, 5), chi=1) -> CheckResult:
     return CheckResult("zero-count-report", True, "; ".join(lines), report_only=True)
 
 
-def run_all(include_slow: bool = True, zero_report_level: int = 5) -> list[CheckResult]:
+def run_all(include_slow: bool = True) -> list[CheckResult]:
     checks = [
         lambda: check_orthogonality(),
         lambda: check_recurrence_equivalence(),
@@ -411,5 +409,5 @@ def run_all(include_slow: bool = True, zero_report_level: int = 5) -> list[Check
     if include_slow:
         results.append(_timed(check_quadrature_order))
         results.append(_timed(check_evaluation_convergence))
-        results.append(_timed(lambda: zero_count_report(zero_report_level)))
+        results.append(_timed(zero_count_report))
     return results

@@ -54,9 +54,6 @@ class VertexAddress:
     def level(self) -> int:
         return len(self.word)
 
-    def is_boundary(self) -> bool:
-        return not self.word
-
     def spine_depth(self) -> int | None:
         """Depth n if this vertex is F_0^n(q_1) or F_0^n(q_2), else None."""
         if self.corner in (1, 2) and all(c == 0 for c in self.word):

@@ -2,9 +2,10 @@
 
 All computation is exact rational; decimal rendering (controlled by --digits)
 is the only lossy step, so re-running a command with identical flags produces
-byte-identical output.  Numeric flags such as --chi accept exact fractions
-("--chi 1/2").  CSV output is comma-separated UTF-8 with LF line endings and a
-header row; JSON uses a stable key order.
+byte-identical output.  The weight flags --chi and --chi-list accept exact
+fractions ("--chi 1/2"), and `zeros` counts a grid value as a zero only when
+it is exactly 0.  CSV output is comma-separated UTF-8 with LF line endings
+and a header row; JSON uses a stable key order.
 
 Exit codes (every non-zero one comes with a message on stderr): 0 on
 success, 2 on a usage error (an unwritable --out path included), 3 when a
@@ -37,20 +38,18 @@ from .rationals import Rat, rat_decimal, rat_from_str, rat_str
 from .solver import eval_poly_grid
 
 
-def _nonneg_rat(text: str):
-    """A non-negative rational, such as a Sobolev weight or a zero threshold."""
-    try:
-        value = rat_from_str(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, not {text!r}")
-    return value
-
-
 def _weights(text: str):
     """Comma-separated Sobolev weights: non-negative rationals."""
-    return tuple(_nonneg_rat(part) for part in text.split(","))
+    weights = []
+    for part in text.split(","):
+        try:
+            value = rat_from_str(part)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"not a rational: {part!r}") from exc
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, not {part!r}")
+        weights.append(value)
+    return tuple(weights)
 
 
 def _size(text: str) -> int:
@@ -141,10 +140,8 @@ def _build_family(family: int, params: SobolevParams, degree: int, method: str):
     return sobolev_three_term(family, chi, degree)
 
 
-def _solve_level(args) -> int:
-    if args.solve_level is None:
-        return args.level + 2
-    if args.solve_level < args.level:
+def _solve_level(args) -> int | None:
+    if args.solve_level is not None and args.solve_level < args.level:
         raise UsageError(f"--solve-level {args.solve_level} is below "
                          f"--level {args.level}")
     return args.solve_level
@@ -212,8 +209,7 @@ def cmd_zeros(args) -> int:
         field = eval_poly_grid(_selected_poly(which, params, args),
                                args.level, solve_level)
         for edge in ("bottom", "left", "right"):
-            changes, zeros = count_sign_changes(restrict_edge(field, edge),
-                                                args.threshold)
+            changes, zeros = count_sign_changes(restrict_edge(field, edge))
             rows.append((which, args.degree, edge, changes, zeros))
     _write(args.out, _csv(rows, ("which", "degree", "edge", "sign_changes",
                                  "exact_zeros")))
@@ -276,8 +272,7 @@ def cmd_sweep_chi(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_all(include_slow=not args.quick,
-                      zero_report_level=args.zero_level)
+    results = run_all(include_slow=not args.quick)
     width = max(len(r.name) for r in results)
     lines = []
     ok = True
@@ -361,9 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=_size, default=7,
                    help=_LEVEL_HELP + " (default 7)")
     p.add_argument("--solve-level", type=_size)
-    p.add_argument("--threshold", type=_nonneg_rat, default=Rat(1, 10**30),
-                   help="|value| at or below this non-negative rational "
-                        "counts as an exact zero")
     add_common(p, digits=False)
     p.set_defaults(fn=cmd_zeros)
 
@@ -395,12 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the exact property suite and print a "
                                       "pass/fail table")
-    # the zero-count report is one of the solver-based checks --quick skips
-    quick_or_level = p.add_mutually_exclusive_group()
-    quick_or_level.add_argument("--quick", action="store_true",
-                                help="skip the solver-based checks")
-    quick_or_level.add_argument("--zero-level", type=_size, default=5,
-                                help="grid level for the zero-count report")
+    p.add_argument("--quick", action="store_true",
+                   help="skip the grid-based checks")
     add_common(p, digits=False)
     p.set_defaults(fn=cmd_verify)
 

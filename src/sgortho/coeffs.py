@@ -178,14 +178,5 @@ def _check_jk(j: int, k: int, vertex: int = Q0) -> None:
         raise ValueError(f"vertex must be 0, 1 or 2, got {vertex!r}")
 
 
-#: Shared default table; all module-level helpers delegate here.
+#: The shared table every module reads.
 TABLE = CoeffTable()
-
-alpha = TABLE.alpha
-beta = TABLE.beta
-gamma = TABLE.gamma
-eta = TABLE.eta
-alpha_prime = TABLE.alpha_prime
-monomial_value = TABLE.value
-monomial_normal = TABLE.normal
-monomial_integral = TABLE.integral

@@ -89,13 +89,16 @@ class OPFamily:
         self.method = method
         self.recurrence = {} if recurrence is None else recurrence
 
-    def check_orthogonal(self) -> bool:
-        """Exact pairwise orthogonality of the stored polynomials."""
+    def nonorthogonal_pair(self):
+        """The first (i, j, <polys[i], polys[j]>) with j < i whose inner
+        product is not the exact zero, in order of i then j; None when the
+        stored polynomials are pairwise orthogonal."""
         for i in range(len(self.polys)):
             for j in range(i):
-                if poly_inner(self.params, self.polys[i], self.polys[j]) != 0:
-                    return False
-        return True
+                value = poly_inner(self.params, self.polys[i], self.polys[j])
+                if value != 0:
+                    return i, j, value
+        return None
 
     def to_json_dict(self) -> dict:
         rec = {name: {(",".join(map(str, k)) if isinstance(k, tuple) else str(k)):
@@ -365,13 +368,12 @@ def associated_family(chi, family: int, maxdeg: int) -> OPFamily:
             u[n] = -coefs[1]
         polys.append(v)
         norms.append(poly_inner(params, v, v))
-    for i in range(1, maxdeg + 1):
-        for j in range(1, i):
-            if poly_inner(params, polys[i], polys[j]) != 0:
-                raise ConsistencyError(
-                    f"associated family failed exact orthogonality at ({i},{j})")
-    return OPFamily(family=family, params=params, polys=polys, norms_sq=norms,
-                    method="associated", recurrence={"t": t, "u": u})
+    fam = OPFamily(family=family, params=params, polys=polys, norms_sq=norms,
+                   method="associated", recurrence={"t": t, "u": u})
+    if (pair := fam.nonorthogonal_pair()) is not None:
+        raise ConsistencyError(f"associated family failed exact orthogonality "
+                               f"at ({pair[0]},{pair[1]})")
+    return fam
 
 
 def limit_family_sym(maxdeg: int) -> list[Poly]:

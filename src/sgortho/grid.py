@@ -181,12 +181,6 @@ class FieldOnGrid:
         pair = word[-1] + addr.corner - 1  # midpoint (0, 1), (0, 2) or (1, 2)
         return self.values[_vertex_count(len(word) - 1) + 3 * j + pair]
 
-    def restrict(self, m: int) -> "FieldOnGrid":
-        """Restriction to the coarser level-m grid (m <= own level)."""
-        if m > self.grid.m:
-            raise ValueError("can only restrict to a coarser level")
-        return FieldOnGrid(build_grid(m), self.values[:_vertex_count(m)])
-
     def max_abs(self):
         return max((abs(v) for v in self.values), default=ZERO)
 
@@ -289,21 +283,19 @@ def restrict_edge(field: FieldOnGrid, edge: str) -> list:
     return [field.values[v] for v in path]
 
 
-def count_sign_changes(values, zero_threshold=Rat(1, 10**30)):
-    """Sign changes along a sequence, skipping values below the zero threshold.
+def count_sign_changes(values):
+    """Sign changes along a sequence of exact values, skipping its zeros.
 
-    `zero_threshold` is a non-negative rational: an entry v with
-    |v| <= zero_threshold counts as an exact zero (a negative threshold would
-    give exact zeros the sign -1).  Returns (changes, zeros): strict sign
-    alternations between consecutive surviving entries, and the count of
-    entries treated as exact zeros.
-    High-multiplicity zeros are outside this count's contract; near-zero
-    plateaus show up in `zeros` instead.
+    Returns (changes, zeros): strict sign alternations between consecutive
+    nonzero entries, and the count of entries equal to 0.  Every value is an
+    exact rational, so a zero is `v == 0` and no tolerance applies.
+    High-multiplicity zeros between the entries are outside this count's
+    contract.
     """
     signs = []
     zeros = 0
     for v in values:
-        if abs(v) <= zero_threshold:
+        if v == 0:
             zeros += 1
         else:
             signs.append(1 if v > 0 else -1)

@@ -184,9 +184,6 @@ class GramMatrix:
         self.basis = basis
         self.entries = entries
 
-    def entry(self, r: int, c: int):
-        return self.entries[r][c]
-
     def to_json_dict(self) -> dict:
         return {
             "params": self.params.to_json_dict(),

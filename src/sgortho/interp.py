@@ -8,9 +8,9 @@ invertible.  The spine node family
 
 does so whenever no beta_j vanishes (asserted for j <= 50): the scaling laws
 turn each family block into a scaled Vandermonde matrix in powers of 1/5.
-Every entry is exact (closed forms on the spine and at the corners, elsewhere
-a value of the integer extension `grid.multiharmonic_extend`), so
-determinants and quadrature weights are exact.
+Every entry is exact (closed forms on the spine, elsewhere a value of the
+integer extension `grid.multiharmonic_extend`), so determinants and
+quadrature weights are exact.
 
 The order-n quadrature rule solves the moment system M^T w = integrals and is
 exact on all polynomials of degree <= n; the composite rule applies it to
@@ -65,14 +65,12 @@ def v1_nodes() -> NodeSet:
 
 
 def eval_monomial_at(j: int, k: int, addr: VertexAddress):
-    """Exact value of P_{j,k} at a vertex: closed forms on the spine and at
-    the corners, elsewhere the exact extension to the vertex's level."""
+    """Exact value of P_{j,k} at a vertex: closed forms on the spine,
+    elsewhere the exact extension to the vertex's level."""
     depth = addr.spine_depth()
     mono = Poly.monomial(j, k)
     if depth is not None:
         return mono.eval_spine(depth, addr.corner)
-    if addr.is_boundary():
-        return TABLE.value(j, k, addr.corner)
     return multiharmonic_extend(mono.dirichlet_data(), addr.level).value_at(addr)
 
 
@@ -93,12 +91,10 @@ class InterpolationMatrix:
         }
 
 
-def interpolation_matrix(nodes: NodeSet, n: int | None = None) -> InterpolationMatrix:
-    if n is None:
-        n = nodes.n
-    basis = basis_indices("mixed", n)
+def interpolation_matrix(nodes: NodeSet) -> InterpolationMatrix:
+    basis = basis_indices("mixed", nodes.n)
     if len(nodes.nodes) != len(basis):
-        raise ValueError(f"need {len(basis)} nodes for degree {n}")
+        raise ValueError(f"need {len(basis)} nodes for degree {nodes.n}")
     entries = [[eval_monomial_at(j, k, addr) for (j, k) in basis]
                for addr in nodes.nodes]
     return InterpolationMatrix(node_set=nodes, entries=entries)
@@ -137,7 +133,7 @@ def quadrature_weights(n: int) -> QuadratureRule:
     residual; this is re-verified after the solve.
     """
     nodes = spine_nodes(n)
-    matrix = interpolation_matrix(nodes, n)
+    matrix = interpolation_matrix(nodes)
     basis = basis_indices("mixed", n)
     moments = [TABLE.integral(j, k) for (j, k) in basis]
     try:

@@ -151,9 +151,6 @@ class Poly:
         """Max degree with a nonzero coefficient; -1 for the zero polynomial."""
         return max((j for j, _ in self.nums), default=-1)
 
-    def is_monic(self, family: int) -> bool:
-        return self.nums.get((self.degree, family)) == self.den
-
     def linear_form(self, weight):
         """sum(c_idx * weight(idx)) exactly, as one integer sum over the
         common denominator of the weights."""

@@ -204,6 +204,13 @@ def test_criterion_13_zero_count_report():
     assert result.report_only
 
 
+def test_zero_count_report_reads_exact_values():
+    # collocated values (solve level 7) gave p_5 only 3/1/1 sign changes
+    detail = acceptance.zero_count_report(level=5).detail
+    assert ("p_5 (k=3, level 5): bottom: 7 changes/1 zeros, left: 5 changes/1 "
+            "zeros, right: 5 changes/1 zeros") in detail
+
+
 def test_full_battery_has_no_unexpected_failures():
     results = acceptance.run_all(include_slow=False)
     for r in results:

@@ -79,3 +79,13 @@ def test_verdict_on_synthetic_runs(pairs, change, won, better, expected):
     parent = _side([0.99, 1.0, 1.0, 1.01] * 2 + [0.99, 1.01])
     assert parent["median"] == 1.0 and parent["q3"] - parent["q1"] == pytest.approx(0.02)
     assert pairs.verdict(parent, _side(change), won, better, 0.25) == expected
+
+
+def test_merge_traces_lists_each_layer_in_run_order(pairs):
+    runs = [{"cli.main_s": {"value": 0.28}, "inner.poly_inner.calls": {"value": 40}},
+            {"cli.main_s": {"value": 0.33}, "inner.poly_inner.calls": {"value": 40},
+             "fail_ratio": {"value": 0.0}}]
+    assert pairs.merge_traces(runs) == {"cli.main_s": [0.28, 0.33],
+                                        "inner.poly_inner.calls": [40, 40],
+                                        "fail_ratio": [None, 0.0]}
+    assert pairs.TRACE_ORDER.count("parent") == pairs.TRACE_ORDER.count("change") == 2

@@ -261,11 +261,6 @@ def test_writable_out_is_created_only_by_the_write(tmp_path, monkeypatch):
     ["ops", "--family", "2", "--chi", "-1", "--degree", "3"],
     ["gram", "--family", "1", "--maxdeg", "2", "--m", "1", "--chi", "-2"],
     ["sweep-chi", "--family", "3", "--n", "3", "--chi-list", "-1"],
-    # a negative zero threshold used to give exact zeros the sign -1 (exit 0)
-    ["zeros", "--family", "3", "--degree", "2", "--level", "2",
-     "--threshold", "-1"],
-    ["zeros", "--family", "3", "--degree", "2", "--level", "2",
-     "--threshold=-1/2"],
 ])
 def test_negative_size_is_usage_error(args, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -323,7 +318,7 @@ def test_usage_error_m_max_below_n(capsys):
 
 
 def test_usage_error_zero_level_with_quick(capsys):
-    # --quick skips the zero-count report, so its level used to be ignored
+    # the zero-count report has one level, so --zero-level is an unknown flag
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--quick", "--zero-level", "3"])
     assert exc.value.code == 2

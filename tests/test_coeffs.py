@@ -9,9 +9,7 @@ from math import prod
 
 import pytest
 
-from sgortho.coeffs import (TABLE, CoeffTable, alpha, alpha_prime, beta, eta,
-                            gamma, monomial_integral, monomial_normal,
-                            monomial_value)
+from sgortho.coeffs import TABLE, CoeffTable
 from sgortho.poly import Poly
 
 FROZEN_ALPHA = {0: F(1), 1: F(1, 6), 2: F(1, 180), 3: F(1, 16200),
@@ -26,70 +24,70 @@ FROZEN_ETA = {0: F(0), 1: F(1, 2), 2: F(1, 36), 3: F(1, 2430),
 
 @pytest.mark.parametrize("j,value", sorted(FROZEN_ALPHA.items()))
 def test_alpha_frozen(j, value):
-    assert alpha(j) == value
+    assert TABLE.alpha(j) == value
 
 
 @pytest.mark.parametrize("j,value", sorted(FROZEN_BETA.items()))
 def test_beta_frozen(j, value):
-    assert beta(j) == value
+    assert TABLE.beta(j) == value
 
 
 @pytest.mark.parametrize("j,value", sorted(FROZEN_ETA.items()))
 def test_eta_frozen(j, value):
-    assert eta(j) == value
+    assert TABLE.eta(j) == value
 
 
 def test_initial_data():
-    assert alpha(0) == 1 and alpha(1) == F(1, 6)
-    assert beta(0) == F(-1, 2) and eta(0) == 0
-    assert alpha_prime(0) == F(1, 2)
+    assert TABLE.alpha(0) == 1 and TABLE.alpha(1) == F(1, 6)
+    assert TABLE.beta(0) == F(-1, 2) and TABLE.eta(0) == 0
+    assert TABLE.alpha_prime(0) == F(1, 2)
     for j in range(1, 8):
-        assert alpha_prime(j) == alpha(j)
+        assert TABLE.alpha_prime(j) == TABLE.alpha(j)
 
 
 def test_gamma_is_shifted_alpha():
     for j in range(12):
-        assert gamma(j) == 3 * alpha(j + 1)
+        assert TABLE.gamma(j) == 3 * TABLE.alpha(j + 1)
 
 
 def test_negative_indices_are_zero():
-    for fn in (alpha, beta, gamma, eta, alpha_prime):
+    for fn in (TABLE.alpha, TABLE.beta, TABLE.gamma, TABLE.eta, TABLE.alpha_prime):
         assert fn(-1) == 0
         assert fn(-7) == 0
 
 
 def test_beta_never_vanishes_up_to_50():
-    nonzero = [j for j in range(51) if beta(j) != 0]
+    nonzero = [j for j in range(51) if TABLE.beta(j) != 0]
     assert len(nonzero) == 51
 
 
 def test_boundary_values():
-    assert monomial_value(0, 1, 0) == 1
-    assert monomial_value(3, 1, 0) == 0
-    assert monomial_value(2, 1, 1) == alpha(2)
-    assert monomial_value(2, 1, 2) == alpha(2)
-    assert monomial_value(2, 2, 1) == beta(2)
-    assert monomial_value(2, 3, 1) == gamma(2)
-    assert monomial_value(2, 3, 2) == -gamma(2)
+    assert TABLE.value(0, 1, 0) == 1
+    assert TABLE.value(3, 1, 0) == 0
+    assert TABLE.value(2, 1, 1) == TABLE.alpha(2)
+    assert TABLE.value(2, 1, 2) == TABLE.alpha(2)
+    assert TABLE.value(2, 2, 1) == TABLE.beta(2)
+    assert TABLE.value(2, 3, 1) == TABLE.gamma(2)
+    assert TABLE.value(2, 3, 2) == -TABLE.gamma(2)
 
 
 def test_boundary_normals():
-    assert monomial_normal(0, 2, 0) == 1
-    assert monomial_normal(1, 1, 0) == 0
-    assert monomial_normal(0, 2, 1) == F(-1, 2)
-    assert monomial_normal(0, 2, 2) == F(-1, 2)
+    assert TABLE.normal(0, 2, 0) == 1
+    assert TABLE.normal(1, 1, 0) == 0
+    assert TABLE.normal(0, 2, 1) == F(-1, 2)
+    assert TABLE.normal(0, 2, 2) == F(-1, 2)
     for j in range(1, 6):
-        assert monomial_normal(j, 2, 1) == -alpha(j)
+        assert TABLE.normal(j, 2, 1) == -TABLE.alpha(j)
     for j in range(6):
-        assert monomial_normal(j, 1, 1) == eta(j)
-        assert monomial_normal(j, 3, 1) == 3 * eta(j + 1)
-        assert monomial_normal(j, 3, 2) == -3 * eta(j + 1)
+        assert TABLE.normal(j, 1, 1) == TABLE.eta(j)
+        assert TABLE.normal(j, 3, 1) == 3 * TABLE.eta(j + 1)
+        assert TABLE.normal(j, 3, 2) == -3 * TABLE.eta(j + 1)
 
 
 def test_boundary_rejections():
-    assert monomial_value(0, 1, 0) == 1
-    assert monomial_normal(0, 2, 1) == F(-1, 2)
-    for fn in (monomial_value, monomial_normal):
+    assert TABLE.value(0, 1, 0) == 1
+    assert TABLE.normal(0, 2, 1) == F(-1, 2)
+    for fn in (TABLE.value, TABLE.normal):
         with pytest.raises(ValueError):
             fn(0, 1, 3)
         with pytest.raises(ValueError):
@@ -112,26 +110,26 @@ def test_corner_index_checked(vertex):
 
 
 def test_integrals():
-    assert monomial_integral(0, 1) == 1
-    assert monomial_integral(0, 2) == F(-1, 3)
-    assert monomial_integral(2, 1) == F(1, 1215)  # = 2 eta_3
+    assert TABLE.integral(0, 1) == 1
+    assert TABLE.integral(0, 2) == F(-1, 3)
+    assert TABLE.integral(2, 1) == F(1, 1215)  # = 2 eta_3
     for j in range(6):
-        assert monomial_integral(j, 3) == 0
-        assert monomial_integral(j, 1) == 2 * eta(j + 1)
-        assert monomial_integral(j, 2) == -2 * alpha(j + 1)
+        assert TABLE.integral(j, 3) == 0
+        assert TABLE.integral(j, 1) == 2 * TABLE.eta(j + 1)
+        assert TABLE.integral(j, 2) == -2 * TABLE.alpha(j + 1)
 
 
 def test_harmonic_integral_equals_corner_mean():
     # independent cross-check: a harmonic function integrates to the mean of
     # its three corner values
     for k in (1, 2, 3):
-        mean = sum(monomial_value(0, k, v) for v in (0, 1, 2)) / 3
-        assert monomial_integral(0, k) == mean
+        mean = sum(TABLE.value(0, k, v) for v in (0, 1, 2)) / 3
+        assert TABLE.integral(0, k) == mean
 
 
 def test_sum_of_normals_vanishes_for_harmonics():
     for k in (1, 2, 3):
-        assert sum(monomial_normal(0, k, v) for v in (0, 1, 2)) == 0
+        assert sum(TABLE.normal(0, k, v) for v in (0, 1, 2)) == 0
 
 
 def _per_term_sequences(n):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from sgortho import families, poly
-from sgortho.coeffs import alpha, beta
+from sgortho.coeffs import TABLE
 from sgortho.errors import ConsistencyError, MathematicalAssumptionError
 from sgortho.families import (associated_family, corner_normal_of_green_image,
                               gram_schmidt, green_seq, legendre,
@@ -109,15 +109,15 @@ def test_monicity_and_orthogonality():
     for fam in (1, 2, 3):
         ops = gram_schmidt(S1, fam, 6)
         for n, p in enumerate(ops.polys):
-            assert p.degree == n and p.is_monic(fam)
-        assert ops.check_orthogonal()
+            assert p.degree == n and p[(n, fam)] == 1
+        assert ops.nonorthogonal_pair() is None
         assert all(v > 0 for v in ops.norms_sq)
 
 
 def test_green_seq_examples_and_consistency():
     fs2 = green_seq(2, 4)
     assert fs2[0].is_zero()
-    assert fs2[1] == Poly({(1, 2): F(1), (0, 2): 2 * beta(1)})
+    assert fs2[1] == Poly({(1, 2): F(1), (0, 2): 2 * TABLE.beta(1)})
     leg2 = legendre(2, 5)
     fs2 = green_seq(2, 6)
     for t in range(2, 7):
@@ -151,7 +151,7 @@ def test_green_images_are_monic_and_orthogonal_to_low_degrees():
         fs = green_seq(fam, 6)
         for n in range(1, 6):
             assert fs[n + 1].degree == n + 1
-            assert fs[n + 1].is_monic(fam)
+            assert fs[n + 1][(n + 1, fam)] == 1
             if fam == 1:
                 continue  # k=1 images leave the family; no such orthogonality
             for j in range(n - 1):
@@ -163,7 +163,7 @@ def test_gauss_green_canary_coefficient_identity():
     # the vanishing q1 normal derivative of the family-2 Green images
     leg = legendre(2, 6)
     for t in range(1, 6):
-        total = sum(w * (alpha(l + 1) + beta(l + 1))
+        total = sum(w * (TABLE.alpha(l + 1) + TABLE.beta(l + 1))
                     for (l, _k), w in leg.polys[t].coeffs.items())
         assert total == 0
 
@@ -447,7 +447,7 @@ def test_returned_families_do_not_share_state():
     assert len(again.polys) == len(again.norms_sq) == 5
     assert again.method == "legendre"
     assert gram_schmidt(L2, 2, 4).method == "gram-schmidt"
-    assert legendre(2, 5).polys[5].is_monic(2)
+    assert legendre(2, 5).polys[5][(5, 2)] == 1
     fs = green_seq(2, 3)
     fs.append(Poly.zero())
     assert len(green_seq(2, 3)) == 4
@@ -505,6 +505,6 @@ def test_concurrent_builders_match_serial(monkeypatch):
 def test_gram_schmidt_accepts_params_built_from_lists():
     params = SobolevParams([F(1), F(2)])
     fam = gram_schmidt(params, 2, 3)
-    assert fam.check_orthogonal()
+    assert fam.nonorthogonal_pair() is None
     assert fam.polys == gram_schmidt(params, 2, 3).polys
     assert fam.polys == gram_schmidt(SobolevParams.order1(2), 2, 3).polys

@@ -195,13 +195,13 @@ def test_gram_matrix_shapes_and_symmetry():
     assert gm.basis == tuple((j, 3) for j in range(5))
     for r in range(5):
         for c in range(5):
-            assert gm.entry(r, c) == gm.entry(c, r)
+            assert gm.entries[r][c] == gm.entries[c][r]
     mixed = gram_matrix(L2, "mixed", 1)
     assert mixed.basis == ((0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3))
     for r, (j, k) in enumerate(mixed.basis):
         for c, (jp, kp) in enumerate(mixed.basis):
             if {k, kp} in ({1, 3}, {2, 3}):
-                assert mixed.entry(r, c) == 0
+                assert mixed.entries[r][c] == 0
 
 
 def test_gram_matrix_single_entry_family3():
@@ -234,7 +234,7 @@ def test_sobolev_gram_is_weighted_shift_of_l2_gram():
             expected = mono_inner_l2((j, 2), (k, 2))
             if j >= 1 and k >= 1:
                 expected += F(2, 3) * mono_inner_l2((j - 1, 2), (k - 1, 2))
-            assert gm.entry(r, c) == expected
+            assert gm.entries[r][c] == expected
 
 
 def test_gram_json_shape():

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from sgortho.coeffs import alpha, beta, gamma
+from sgortho.coeffs import TABLE
 from sgortho.poly import Poly
 
 
@@ -44,9 +44,9 @@ def test_laplacian_shifts():
 def test_green_monomial_rules():
     assert Poly.monomial(0, 1).green() == Poly({(1, 1): F(1), (0, 2): F(1, 3)})
     assert Poly.monomial(0, 2).green() == Poly({(1, 2): F(1),
-                                                (0, 2): 2 * beta(1)})
+                                                (0, 2): 2 * TABLE.beta(1)})
     assert Poly.monomial(1, 3).green() == Poly({(2, 3): F(1),
-                                                (0, 3): -2 * gamma(2)})
+                                                (0, 3): -2 * TABLE.gamma(2)})
 
 
 def test_green_is_right_inverse_and_dirichlet():
@@ -61,19 +61,20 @@ def test_green_is_right_inverse_and_dirichlet():
 
 def test_green_image_vanishing_is_forced():
     g = Poly.monomial(0, 1).green()
-    assert alpha(1) + F(1, 3) * beta(0) == 0  # the q1 value, spelled out
+    assert TABLE.alpha(1) + F(1, 3) * TABLE.beta(0) == 0  # the q1 value, spelled out
     assert g.boundary_value(1) == 0
 
 
 def test_spine_scaling():
     for j in range(4):
         for m in range(4):
-            assert Poly.monomial(j, 1).eval_spine(m, 1) == F(1, 5**(j * m)) * alpha(j)
-            assert Poly.monomial(j, 1).eval_spine(m, 2) == F(1, 5**(j * m)) * alpha(j)
+            for target in (1, 2):
+                assert Poly.monomial(j, 1).eval_spine(m, target) == \
+                    F(1, 5**(j * m)) * TABLE.alpha(j)
             assert Poly.monomial(j, 2).eval_spine(m, 1) == \
-                F(3**m, 5**((j + 1) * m)) * beta(j)
+                F(3**m, 5**((j + 1) * m)) * TABLE.beta(j)
             assert Poly.monomial(j, 3).eval_spine(m, 2) == \
-                -F(1, 5**((j + 1) * m)) * gamma(j)
+                -F(1, 5**((j + 1) * m)) * TABLE.gamma(j)
 
 
 def test_spine_constant_and_depth_zero():
@@ -81,8 +82,8 @@ def test_spine_constant_and_depth_zero():
     for m in range(5):
         assert one.eval_spine(m, 1) == 1
     p = Poly({(1, 2): F(2), (0, 3): F(1)})
-    assert p.eval_spine(0, 1) == 2 * beta(1) + gamma(0)
-    assert p.eval_spine(0, 2) == 2 * beta(1) - gamma(0)
+    assert p.eval_spine(0, 1) == 2 * TABLE.beta(1) + TABLE.gamma(0)
+    assert p.eval_spine(0, 2) == 2 * TABLE.beta(1) - TABLE.gamma(0)
 
 
 def test_spine_rejections():
@@ -123,11 +124,11 @@ def oracle_green(a):
     for (l, k), c in a.items():
         out = oracle_add(out, {(l + 1, k): c})
         if k == 1:
-            out = oracle_add(out, {(0, 2): 2 * alpha(l + 1) * c})
+            out = oracle_add(out, {(0, 2): 2 * TABLE.alpha(l + 1) * c})
         elif k == 2:
-            out = oracle_add(out, {(0, 2): 2 * beta(l + 1) * c})
+            out = oracle_add(out, {(0, 2): 2 * TABLE.beta(l + 1) * c})
         else:
-            out = oracle_add(out, {(0, 3): -2 * gamma(l + 1) * c})
+            out = oracle_add(out, {(0, 3): -2 * TABLE.gamma(l + 1) * c})
     return out
 
 
