@@ -6,9 +6,11 @@ their members and norms from the memoized Gram-Schmidt family and read each
 recurrence coefficient off it as an exact projection.
 
 `recurrence_steps` is the one definition of each recurrence.  The builders
-fill their tables from its steps, and `acceptance.check_recurrence_equivalence`
+fill their tables from its steps, `acceptance.check_recurrence_equivalence`
 rebuilds every member from the same steps (its Green image, the reported
-coefficients and the lower members) and compares it with Gram-Schmidt.
+coefficients and the lower members) and compares it with Gram-Schmidt, and
+`odes.ode_residual` reads the coefficients of its differential equation from
+them.
 
 Builders:
   * gram_schmidt     -- any family, any inner-product parameters

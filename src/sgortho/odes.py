@@ -1,15 +1,17 @@
 """Differential-equation identities and large-weight asymptotics.
 
-For the order-1 product and k = 2, 3 the Sobolev family satisfies
+A k = 2, 3 Sobolev family of order m satisfies one identity at every degree
+n, of order 2 for the order-1 product and of order 2m in general:
 
-    s_n + chi Lap^2 s_n
-        = Lap p_{n+1} + a_n (|s_n|_S^2 / |p_n|_2^2) Lap p_n
-                      + (|s_n|_S^2 / |p_{n-1}|_2^2) Lap p_{n-1},
+    sum_r chi_r Lap^{2r} s_n
+        = sum_t c_t (|s_n|_S^2 / |p_t|_2^2) Lap^m p_t,
 
-and its order-m generalization replaces Lap by Lap^m on the right with 2m
-trailing terms weighted by the generalized recurrence coefficients.  Both are
-exact polynomial identities; the residual builders below return left minus
-right, which must be the zero polynomial.
+where c_t is the coefficient of s_n in the recurrence step for G^m p_t:
+1 in the step that produces s_n, otherwise the table entry of the step
+whose member index is n.  The coefficients are read off
+`families.recurrence_steps`, so the three-term and the order-m tables share
+one residual.  Steps with t < m add nothing, since Lap^m p_t = 0.
+`ode_residual` returns left minus right, which must be the zero polynomial.
 
 chi_asymptotics quantifies the O(1/chi) convergence of s_n(., chi) toward its
 weight-independent limit, entirely in exact rational arithmetic (squared L2
@@ -18,52 +20,38 @@ errors and their ratios).
 
 from __future__ import annotations
 
-from .families import (green_seq, legendre, sobolev_higher,
-                       sobolev_three_term)
+from .families import (OPFamily, green_seq, legendre, recurrence_steps,
+                       sobolev_three_term, step_weights)
 from .inner import SobolevParams, poly_inner
 from .poly import Poly
-from .rationals import ONE, ZERO, rat_str
+from .rationals import rat_str
 
 L2 = SobolevParams.l2()
 
 
-def ode_residual(n: int, chi, family: int) -> Poly:
-    """Residual of the second-order identity for the order-1 product (k=2,3)."""
-    sob = sobolev_three_term(family, chi, max(n + 1, 1))
-    leg = legendre(family, n + 1)
-    s_n = sob.polys[n]
-    lhs = s_n + s_n.laplacian_power(2).scale(chi)
-    rhs = leg.polys[n + 1].laplacian()
-    a_n = sob.recurrence["a"][n]
-    rhs = rhs + leg.polys[n].laplacian().scale(a_n * sob.norms_sq[n] / leg.norms_sq[n])
-    if n >= 1:
-        rhs = rhs + leg.polys[n - 1].laplacian().scale(
-            sob.norms_sq[n] / leg.norms_sq[n - 1])
-    return lhs - rhs
+def ode_residual(fam: OPFamily, n: int) -> Poly:
+    """Residual at degree n of the identity above for a k = 2, 3 recurrence
+    family (three-term or higher-recurrence) built to degree n + 2m."""
+    if fam.method not in ("three-term", "higher-recurrence"):
+        raise ValueError("the identity needs a k=2,3 recurrence family")
+    m, maxdeg, tables = fam.params.order, len(fam.polys) - 1, fam.recurrence
+    if maxdeg < n + 2 * m:
+        raise ValueError(f"family must be built to degree n + 2m = {n + 2 * m}")
+    leg = legendre(fam.family, n + m)
+    s_n = fam.polys[n]
+    terms = [(chi, s_n.laplacian_power(2 * r))
+             for r, chi in enumerate(fam.params.chi)]
+    for degree, u, entries in recurrence_steps(fam.method, m, maxdeg):
+        c = 1 if degree == n else next(
+            (tables[name][key] for name, key, i in entries if i == n), 0)
+        terms += [(-c * w * fam.norms_sq[n] / leg.norms_sq[t],
+                   leg.polys[t].laplacian_power(m))
+                  for t, w in step_weights(u, tables) if c and t >= m]
+    return Poly.zero().combination(terms)
 
 
-def higher_ode_residual(n: int, params: SobolevParams, family: int) -> Poly:
-    """Residual of the order-2m identity for the order-m product (k=2,3, n >= m)."""
-    m = params.order
-    if n < m:
-        raise ValueError("identity holds for degrees n >= m")
-    sob = sobolev_higher(params, family, n + 2 * m - 1)
-    leg = legendre(family, n + m)
-    s_n = sob.polys[n]
-    lhs = s_n
-    for l in range(1, m + 1):
-        if params.chi[l] != 0:
-            lhs = lhs + s_n.laplacian_power(2 * l).scale(params.chi[l])
-    rhs = leg.polys[n + m].laplacian_power(m)
-    a_table = sob.recurrence["a"]
-    for l in range(1, 2 * m + 1):
-        coef_a = ONE if 2 * m - l - 1 == -1 else \
-            a_table.get((n + m - l - 1, 2 * m - l - 1), ZERO)
-        if coef_a == 0:
-            continue
-        weight = coef_a * sob.norms_sq[n] / leg.norms_sq[n + m - l]
-        rhs = rhs + leg.polys[n + m - l].laplacian_power(m).scale(weight)
-    return lhs - rhs
+# the order-m name of the same residual, read by the traced layer list
+higher_ode_residual = ode_residual
 
 
 def chi_limit_poly(family: int, n: int) -> tuple[Poly, str]:

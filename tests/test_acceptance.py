@@ -14,6 +14,7 @@ pass right next to them and the equalities themselves are asserted:
     which holds only from t = 2 on.
 """
 
+import sys
 import time
 from fractions import Fraction
 
@@ -87,6 +88,53 @@ def test_criterion_02_fails_on_a_wrong_coefficient(monkeypatch, builder, table,
 def test_criterion_03_ode_identities():
     result = _run(acceptance.check_ode_identities, "criterion-3 ode identities")
     assert result.passed, result.detail
+
+
+def _patch_builder(monkeypatch, name, wrapper):
+    """Rebind every package global that holds the family builder `name`."""
+    build = getattr(acceptance, name)
+    for module in [m for key, m in sys.modules.items()
+                   if key == "sgortho" or key.startswith("sgortho.")]:
+        for attr in [k for k, v in vars(module).items() if v is build]:
+            monkeypatch.setattr(module, attr, wrapper(build))
+
+
+@pytest.mark.parametrize("builder,table,key,change,failure", [
+    ("sobolev_three_term", "a", 3, "perturb", "order-1 residual n=3 k=2 chi=1"),
+    ("sobolev_three_term", "b_tilde", 5, "halve", "order-1 residual n=4 k=2 chi=1"),
+    ("sobolev_higher", "a", (1, 3), "perturb", "order-2 residual n=0 k=2"),
+])
+def test_criterion_03_fails_on_a_wrong_coefficient(monkeypatch, builder, table,
+                                                   key, change, failure):
+    def wrapper(build):
+        def wrong(*args):
+            fam = build(*args)
+            entries = fam.recurrence[table]
+            if key in entries:  # b~_5 only in families built past degree 5
+                entries[key] = (entries[key] / 2 if change == "halve"
+                                else entries[key] + Fraction(1, 10**9))
+            return fam
+        return wrong
+
+    _patch_builder(monkeypatch, builder, wrapper)
+    result = acceptance.check_ode_identities()
+    assert not result.passed
+    assert result.detail == failure
+
+
+def test_criterion_03_builds_each_family_once(monkeypatch):
+    calls = []
+
+    def wrapper(build):
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+        return counted
+
+    for builder in ("sobolev_three_term", "sobolev_higher"):
+        _patch_builder(monkeypatch, builder, wrapper)
+    assert acceptance.check_ode_identities().passed
+    assert len(calls) == 6
 
 
 def test_criterion_04_coefficient_identities():
@@ -199,7 +247,7 @@ def test_criterion_12_interpolation():
 def test_criterion_13_zero_count_report():
     # report-only: edge zero counts at level 7 (129 points per edge) and the
     # max-norm comparison of Sobolev against plain-L2 polynomials
-    result = _run(lambda: acceptance.zero_count_report(level=7, degrees=(3, 5)),
+    result = _run(lambda: acceptance.zero_count_report(level=7),
                   "criterion-13 zero-count report (not gated)")
     assert result.report_only
 

@@ -4,12 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from sgortho.families import green_seq, legendre, sobolev_three_term
+from sgortho.families import (green_seq, legendre, sobolev_four_term,
+                              sobolev_higher, sobolev_three_term)
 from sgortho.inner import SobolevParams, poly_inner
 from sgortho.odes import chi_asymptotics, chi_limit_poly, higher_ode_residual, ode_residual
 from sgortho.rationals import Rat
 
 L2 = SobolevParams.l2()
+P2 = SobolevParams([1, 1, 1])
 
 
 @pytest.mark.parametrize("n,chi,family", [
@@ -17,18 +19,33 @@ L2 = SobolevParams.l2()
     (4, F(1, 2), 2), (5, F(1), 3), (2, F(1000), 3),
 ])
 def test_ode_residual_is_zero(n, chi, family):
-    assert ode_residual(n, chi, family).is_zero()
+    assert ode_residual(sobolev_three_term(family, chi, n + 2), n).is_zero()
 
 
-@pytest.mark.parametrize("n,family", [(2, 3), (2, 2), (3, 2), (3, 3), (4, 3)])
+@pytest.mark.parametrize("n,family", [(2, 3), (2, 2), (3, 2), (3, 3), (4, 3),
+                                      (0, 2), (0, 3), (1, 2), (1, 3)])
 def test_higher_ode_residual_is_zero(n, family):
-    params = SobolevParams([1, 1, 1])
-    assert higher_ode_residual(n, params, family).is_zero()
+    assert higher_ode_residual(sobolev_higher(P2, family, n + 4), n).is_zero()
 
 
-def test_higher_ode_rejects_low_degree():
+@pytest.mark.parametrize("family", [2, 3])
+@pytest.mark.parametrize("chi", [(1, F(3, 8), 2, 1), (1, 0, 0, 1)])
+def test_order3_ode_residual_is_zero(family, chi):
+    fam = sobolev_higher(SobolevParams(chi), family, 12)
+    for n in range(7):
+        assert ode_residual(fam, n).is_zero(), n
+
+
+def test_ode_residual_rejects_a_four_term_family():
     with pytest.raises(ValueError):
-        higher_ode_residual(1, SobolevParams([1, 1, 1]), 2)
+        ode_residual(sobolev_four_term(1, 8), 2)
+
+
+def test_ode_residual_rejects_a_family_built_too_low():
+    # degree n + 2m is the top member the identity at n reads
+    for fam in (sobolev_three_term(2, 1, 4), sobolev_higher(P2, 3, 6)):
+        with pytest.raises(ValueError, match="n \\+ 2m"):
+            ode_residual(fam, 3)
 
 
 def test_ode_left_side_degree():
