@@ -71,7 +71,10 @@ def digest_commands() -> list[str]:
     (a large interpolation matrix, a singular one, an order-4 rule),
     high-degree builds, where the exact numbers are largest, and the edges of
     the recurrence tables (degrees 1 to m + 1, order 3, unequal order-2
-    weights, large weights and a k=1 grid field)."""
+    weights, large weights and a k=1 grid field), and the option paths of
+    the weight flags and --which (an order-2 Gram matrix with two weights,
+    an order-2 k=1 family, a Legendre grid field, Sobolev zero counts at
+    chi = 1/2, and --chi with --m 0, which exits 2)."""
     out = [req.key for w in WORKLOADS for req in workloads.requests(w, 0)]
     out += [f"ops --family {k} --degree 16" for k in (1, 2, 3)]
     out += [f"ops --family {k} --m {m} --degree 12 --method gram-schmidt"
@@ -93,6 +96,11 @@ def digest_commands() -> list[str]:
             "ops --family 2 --m 2 --chi 1/2,3 --degree 16",
             "sweep-chi --family 2 --n 4 --chi-list 100,10000",
             "eval --family 1 --degree 4 --level 3"]
+    out += ["gram --family 3 --maxdeg 5 --m 2 --chi 1/2,3",
+            "ops --family 1 --m 2 --chi 2 --degree 6",
+            "eval --family 2 --degree 3 --level 2 --which legendre",
+            "zeros --family 2 --degree 3 --level 3 --which sobolev --chi 1/2",
+            "ops --family 2 --m 0 --chi 1 --degree 3"]
     return list(dict.fromkeys(out))
 
 

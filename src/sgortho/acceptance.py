@@ -1,6 +1,8 @@
 """Exact property suite: every guarantee of the package as a runnable check.
 
-Each check returns a CheckResult; `run_all` executes the battery.  Two checks
+Each check takes no arguments: the degrees and sizes it covers are constants
+in its body, so `verify` always runs the same battery.  A check returns a
+CheckResult or a list of them; `run_all` executes the battery.  Two checks
 carry a documented mathematical exception (marked expected_fail):
 
   * the strict norm chain |p_n|_2 < |s_n|_2 fails at n = 1 because the
@@ -26,7 +28,7 @@ from .families import (associated_family, gram_schmidt, green_seq, legendre,
                        sobolev_four_term, sobolev_higher, sobolev_three_term,
                        step_weights)
 from .grid import count_sign_changes, multiharmonic_extend, restrict_edge
-from .inner import SobolevParams, mono_inner_l2, poly_inner
+from .inner import L2, SobolevParams, mono_inner_l2, poly_inner
 from .interp import (degenerate_spine_nodes, eval_monomial_at,
                      interpolation_matrix, quadrature_error_study,
                      quadrature_weights, spine_nodes, v1_nodes)
@@ -36,8 +38,6 @@ from .poly import Poly
 from .rationals import Rat, ZERO, rat_str
 from .solver import eval_poly_grid
 from .addresses import spine_address
-
-L2 = SobolevParams.l2()
 
 
 class CheckResult:
@@ -65,24 +65,17 @@ class CheckResult:
         return self.report_only or self.passed or self.expected_fail
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    out.seconds = time.perf_counter() - t0
-    return out
-
-
-def check_orthogonality(maxdeg: int = 8) -> CheckResult:
+def check_orthogonality() -> CheckResult:
     """Every off-diagonal Sobolev inner product is the exact rational zero."""
     params = SobolevParams.order1(1)
     for fam in (1, 2, 3):
-        pair = gram_schmidt(params, fam, maxdeg).nonorthogonal_pair()
+        pair = gram_schmidt(params, fam, 8).nonorthogonal_pair()
         if pair is not None:
             i, j, v = pair
             return CheckResult("exact-orthogonality", False,
                                f"family {fam}: <s_{i}, s_{j}> = {rat_str(v)}")
     return CheckResult("exact-orthogonality", True,
-                       f"families 1,2,3, chi=1, degrees <= {maxdeg}")
+                       "families 1,2,3, chi=1, degrees <= 8")
 
 
 def _recurrence_failure(fam) -> str:
@@ -112,51 +105,50 @@ def _recurrence_failure(fam) -> str:
     return ""
 
 
-def check_recurrence_equivalence(maxdeg: int = 8, higher_maxdeg: int = 7) -> CheckResult:
+def check_recurrence_equivalence() -> CheckResult:
     """The recurrence tables rebuild Gram-Schmidt coefficient-for-coefficient."""
     p2 = SobolevParams([1, 1, 1])
     for label, build in (
-            ("three-term family 2", lambda: sobolev_three_term(2, 1, maxdeg)),
-            ("three-term family 3", lambda: sobolev_three_term(3, 1, maxdeg)),
-            ("four-term family 1", lambda: sobolev_four_term(1, maxdeg)),
-            ("order-2 recurrence family 2", lambda: sobolev_higher(p2, 2, higher_maxdeg)),
-            ("order-2 recurrence family 3", lambda: sobolev_higher(p2, 3, higher_maxdeg))):
+            ("three-term family 2", lambda: sobolev_three_term(2, 1, 8)),
+            ("three-term family 3", lambda: sobolev_three_term(3, 1, 8)),
+            ("four-term family 1", lambda: sobolev_four_term(1, 8)),
+            ("order-2 recurrence family 2", lambda: sobolev_higher(p2, 2, 7)),
+            ("order-2 recurrence family 3", lambda: sobolev_higher(p2, 3, 7))):
         failure = _recurrence_failure(build())
         if failure:
             return CheckResult("recurrence-equals-gram-schmidt", False,
                                f"{label} deviates: {failure}")
     return CheckResult("recurrence-equals-gram-schmidt", True,
-                       f"k=2,3 and k=1 to degree {maxdeg}; order-2 to degree {higher_maxdeg}")
+                       "k=2,3 and k=1 to degree 8; order-2 to degree 7")
 
 
-def check_ode_identities(nmax: int = 6, higher_nmax: int = 4) -> CheckResult:
+def check_ode_identities() -> CheckResult:
     """Differential-equation residuals are identically zero."""
     for fam in (2, 3):
         for chi in (Rat(1), Rat(1, 2)):
-            sob = sobolev_three_term(fam, chi, nmax + 2)
-            for n in range(nmax + 1):
+            sob = sobolev_three_term(fam, chi, 8)
+            for n in range(7):
                 if not ode_residual(sob, n).is_zero():
                     return CheckResult("ode-identities", False,
                                        f"order-1 residual n={n} k={fam} chi={rat_str(chi)}")
     p2 = SobolevParams([1, 1, 1])
     for fam in (2, 3):
-        sob = sobolev_higher(p2, fam, higher_nmax + 4)
-        for n in range(higher_nmax + 1):
+        sob = sobolev_higher(p2, fam, 8)
+        for n in range(5):
             if not ode_residual(sob, n).is_zero():
                 return CheckResult("ode-identities", False,
                                    f"order-2 residual n={n} k={fam}")
-    return CheckResult("ode-identities", True,
-                       f"n <= {nmax} (order 1), n <= {higher_nmax} (order 2)")
+    return CheckResult("ode-identities", True, "n <= 6 (order 1), n <= 4 (order 2)")
 
 
-def check_coefficient_identities(nmax: int = 8) -> CheckResult:
+def check_coefficient_identities() -> CheckResult:
     """b~_n = <f_{n+1}, s_{n-1}>_S/|s_{n-1}|_S^2 = |p_n|_2^2/|s_{n-1}|_S^2 > 0 and
     c_n = |p_n|^2/|p_{n-1}|^2, exactly, against dense products."""
     for fam in (2, 3):
-        sob = sobolev_three_term(fam, 1, nmax + 1)
-        leg = legendre(fam, nmax + 1)
-        fs = green_seq(fam, nmax + 1)
-        for n in range(1, nmax + 1):
+        sob = sobolev_three_term(fam, 1, 9)
+        leg = legendre(fam, 9)
+        fs = green_seq(fam, 9)
+        for n in range(1, 9):
             bt = sob.recurrence["b_tilde"][n]
             s = sob.polys[n - 1]
             ss = poly_inner(sob.params, s, s)
@@ -165,29 +157,29 @@ def check_coefficient_identities(nmax: int = 8) -> CheckResult:
                     == poly_inner(L2, p, p) / ss > 0):
                 return CheckResult("coefficient-identities", False,
                                    f"b~_{n} family {fam}")
-        for n in range(2, nmax + 1):
+        for n in range(2, 9):
             if legendre_recurrence_coeffs(fam, n)[1] != leg.norms_sq[n] / leg.norms_sq[n - 1]:
                 return CheckResult("coefficient-identities", False,
                                    f"c_{n} family {fam}")
-    return CheckResult("coefficient-identities", True, f"1 <= n <= {nmax}, families 2,3")
+    return CheckResult("coefficient-identities", True, "1 <= n <= 8, families 2,3")
 
 
-def check_corner_canaries(tmax: int = 9) -> list[CheckResult]:
+def check_corner_canaries() -> list[CheckResult]:
     """Corner normal-derivative identities of the Green images."""
     out = []
     ok = True
     detail = ""
     for fam in (2, 3):
-        fs = green_seq(fam, tmax)
-        for t in range(2, tmax + 1):
+        fs = green_seq(fam, 9)
+        for t in range(2, 10):
             if fs[t].normal_derivative(1) != 0 or fs[t].normal_derivative(2) != 0:
                 ok, detail = False, f"dn f_{t} (family {fam}) at q1/q2 is nonzero"
-    fs1 = green_seq(1, tmax)
-    for t in range(2, tmax + 1):
+    fs1 = green_seq(1, 9)
+    for t in range(2, 10):
         if fs1[t].normal_derivative(0) + 2 * fs1[t].normal_derivative(1) != 0:
             ok, detail = False, f"k=1 corner combination fails at t={t}"
     out.append(CheckResult("corner-canaries", ok,
-                           detail or f"families 2,3 and k=1 combination, 2 <= t <= {tmax}"))
+                           detail or "families 2,3 and k=1 combination, 2 <= t <= 9"))
     defect = fs1[1].normal_derivative(0) + 2 * fs1[1].normal_derivative(1)
     out.append(CheckResult(
         "corner-canaries-t1", defect == 0,
@@ -196,7 +188,7 @@ def check_corner_canaries(tmax: int = 9) -> list[CheckResult]:
     return out
 
 
-def check_almost_orthogonality(nmax: int = 10) -> CheckResult:
+def check_almost_orthogonality() -> CheckResult:
     """<f_n, f_m>_S = 0 exactly for |n-m| >= 3; associated family orthogonal.
 
     This is a property of the in-family Green images, so it concerns families
@@ -205,25 +197,25 @@ def check_almost_orthogonality(nmax: int = 10) -> CheckResult:
     """
     params = SobolevParams.order1(1)
     for fam in (2, 3):
-        fs = green_seq(fam, nmax)
-        for n in range(nmax + 1):
-            for m in range(n + 3, nmax + 1):
+        fs = green_seq(fam, 10)
+        for n in range(11):
+            for m in range(n + 3, 11):
                 if poly_inner(params, fs[n], fs[m]) != 0:
                     return CheckResult("almost-orthogonality", False,
                                        f"<f_{n}, f_{m}> != 0 (family {fam})")
         associated_family(1, fam, 8)  # raises if orthogonality fails
     return CheckResult("almost-orthogonality", True,
-                       f"|n-m| >= 3 up to {nmax}, families 2,3; associated family to degree 8")
+                       "|n-m| >= 3 up to 10, families 2,3; associated family to degree 8")
 
 
-def _norm_chain(fam: int, nmax: int) -> tuple[int | None, int | None]:
-    """The first n at which family `fam` breaks the chain, read strictly and
-    read with the exact equality s_1 = p_1 at n = 1; None where it holds."""
+def _norm_chain(fam: int) -> tuple[int | None, int | None]:
+    """The first n <= 10 at which family `fam` breaks the chain, read strictly
+    and with the exact equality s_1 = p_1 at n = 1; None where it holds."""
     params = SobolevParams.order1(1)
-    gs = gram_schmidt(params, fam, nmax)
-    leg = legendre(fam, nmax)
+    gs = gram_schmidt(params, fam, 10)
+    leg = legendre(fam, 10)
     strict = corrected = None
-    for n in range(1, nmax + 1):
+    for n in range(1, 11):
         p2 = leg.norms_sq[n]
         s2 = poly_inner(L2, gs.polys[n], gs.polys[n])
         ss = gs.norms_sq[n]
@@ -239,9 +231,9 @@ def _norm_chain(fam: int, nmax: int) -> tuple[int | None, int | None]:
     return strict, corrected
 
 
-def check_norm_chain(nmax: int = 10) -> list[CheckResult]:
+def check_norm_chain() -> list[CheckResult]:
     """|p_n|_2^2 < |s_n|_2^2 < |s_n|_S^2 < |P_n|_2^2 + chi |P_{n-1}|_2^2."""
-    firsts = {fam: _norm_chain(fam, nmax) for fam in (1, 2, 3)}
+    firsts = {fam: _norm_chain(fam) for fam in (1, 2, 3)}
     strict = [f"family {fam}, n={n}" for fam, (n, _) in firsts.items() if n is not None]
     return [
         CheckResult("norm-chain-strict", not strict,
@@ -249,7 +241,7 @@ def check_norm_chain(nmax: int = 10) -> list[CheckResult]:
                     "the first comparison is an exact equality at n=1)",
                     expected_fail=True),
         CheckResult("norm-chain", all(n is None for _, n in firsts.values()),
-                    f"strict for 2 <= n <= {nmax}; exact equality s_1 = p_1 "
+                    "strict for 2 <= n <= 10; exact equality s_1 = p_1 "
                     "verified at n=1")]
 
 
@@ -283,9 +275,9 @@ def check_quadrature_order() -> CheckResult:
                        f"geometric mean {gm:.1f} in [15, 40]")
 
 
-def check_quadrature_exactness(nmax: int = 3) -> CheckResult:
+def check_quadrature_exactness() -> CheckResult:
     """Rules integrate every monomial of degree <= n with exactly zero residual."""
-    for n in range(nmax + 1):
+    for n in range(4):
         rule = quadrature_weights(n)
         for j in range(n + 1):
             for k in (1, 2, 3):
@@ -304,7 +296,7 @@ def check_quadrature_exactness(nmax: int = 3) -> CheckResult:
             return CheckResult("quadrature-exactness", False,
                                "order-0 rule breaks the corner-mean identity")
     return CheckResult("quadrature-exactness", True,
-                       f"n <= {nmax}; order-0 rule is (0, 5/6, 1/6) and "
+                       "n <= 3; order-0 rule is (0, 5/6, 1/6) and "
                        "reproduces the harmonic corner-mean identity")
 
 
@@ -341,11 +333,11 @@ def check_evaluation_convergence() -> CheckResult:
                        f"empirical order {order:.2f} in 5^-level")
 
 
-def check_interpolation(nmax: int = 3, beta_range: int = 50) -> CheckResult:
+def check_interpolation() -> CheckResult:
     """Spine matrices invertible, degenerate set singular, level-1 set well separated."""
-    if any(TABLE.beta(j) == 0 for j in range(beta_range + 1)):
+    if any(TABLE.beta(j) == 0 for j in range(51)):
         return CheckResult("interpolation", False, "a beta coefficient vanishes")
-    for n in range(nmax + 1):
+    for n in range(4):
         if bareiss_det(interpolation_matrix(spine_nodes(n)).entries) == 0:
             return CheckResult("interpolation", False, f"spine matrix n={n}")
     if bareiss_det(interpolation_matrix(degenerate_spine_nodes(1)).entries) != 0:
@@ -354,8 +346,8 @@ def check_interpolation(nmax: int = 3, beta_range: int = 50) -> CheckResult:
     if abs(v1_det) <= Rat(1, 10**8):
         return CheckResult("interpolation", False, "level-1 determinant too small")
     return CheckResult("interpolation", True,
-                       f"spine n <= {nmax} invertible (beta_j != 0 checked to "
-                       f"j={beta_range}); degenerate set singular; "
+                       "spine n <= 3 invertible (beta_j != 0 checked to "
+                       "j=50); degenerate set singular; "
                        f"|det V1| = {float(abs(v1_det)):.3e} > 1e-8")
 
 
@@ -385,18 +377,19 @@ def zero_count_report(level: int = 5) -> CheckResult:
 
 def run_all(include_slow: bool = True) -> list[CheckResult]:
     # built per call: tracers and tests rebind the module's check names
-    results = [_timed(fn) for fn in (
-        check_orthogonality, check_recurrence_equivalence, check_ode_identities,
-        check_coefficient_identities, check_almost_orthogonality,
-        check_chi_asymptotics, check_quadrature_exactness, check_interpolation)]
-    for fn in (check_corner_canaries, check_norm_chain):
+    checks = [check_orthogonality, check_recurrence_equivalence, check_ode_identities,
+              check_coefficient_identities, check_almost_orthogonality,
+              check_chi_asymptotics, check_quadrature_exactness, check_interpolation,
+              check_corner_canaries, check_norm_chain]
+    if include_slow:
+        checks += [check_quadrature_order, check_evaluation_convergence,
+                   zero_count_report]
+    results = []
+    for check in checks:
         t0 = time.perf_counter()
-        batch = fn()
+        out = check()
+        batch = out if isinstance(out, list) else [out]  # a list shares the time
         for r in batch:
             r.seconds = (time.perf_counter() - t0) / len(batch)
         results.extend(batch)
-    if include_slow:
-        results.append(_timed(check_quadrature_order))
-        results.append(_timed(check_evaluation_convergence))
-        results.append(_timed(zero_count_report))
     return results

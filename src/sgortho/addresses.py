@@ -11,7 +11,7 @@ from __future__ import annotations
 
 
 class VertexAddress:
-    """An immutable (word, corner) pair, ordered, equal and hashed by value."""
+    """An immutable (word, corner) pair, equal and hashed by value."""
 
     __slots__ = ("word", "corner")
 
@@ -26,11 +26,6 @@ class VertexAddress:
         if other.__class__ is not VertexAddress:
             return NotImplemented
         return self.word == other.word and self.corner == other.corner
-
-    def __lt__(self, other):
-        if other.__class__ is not VertexAddress:
-            return NotImplemented
-        return (self.word, self.corner) < (other.word, other.corner)
 
     def __hash__(self):
         return hash((self.word, self.corner))
@@ -59,12 +54,6 @@ class VertexAddress:
         if self.corner in (1, 2) and all(c == 0 for c in self.word):
             return len(self.word)
         return None
-
-    def reflect(self) -> "VertexAddress":
-        """Image under the reflection fixing q0 (swaps letters/corners 1 and 2)."""
-        swap = {0: 0, 1: 2, 2: 1}
-        return VertexAddress.make(tuple(swap[c] for c in self.word),
-                                  swap[self.corner])
 
     def __str__(self) -> str:
         return ("".join(map(str, self.word)) or "e") + "." + str(self.corner)

@@ -28,7 +28,7 @@ from .errors import ConsistencyError, MathematicalAssumptionError
 from .families import (gram_schmidt, legendre, sobolev_four_term,
                        sobolev_higher, sobolev_three_term)
 from .grid import count_sign_changes, restrict_edge
-from .inner import SobolevParams, gram_matrix
+from .inner import L2, SobolevParams, gram_matrix
 from .interp import (degenerate_spine_nodes, det_and_condition,
                      interpolation_matrix, quadrature_error_study,
                      quadrature_weights, spine_nodes, v1_nodes)
@@ -104,12 +104,11 @@ def _json(payload) -> str:
 
 
 def _params_from_args(args) -> SobolevParams:
-    order = getattr(args, "m", 1)
-    chis = getattr(args, "chi", None)
+    order, chis = args.m, args.chi
     if order == 0:
         if chis is not None:
             raise UsageError("--chi needs --m >= 1; --m 0 is plain L2")
-        return SobolevParams.l2()
+        return L2
     if chis is None:
         chis = (Rat(1),) * order
     if len(chis) == 1 and order > 1:

@@ -65,11 +65,9 @@ from __future__ import annotations
 import threading
 
 from .errors import ConsistencyError, MathematicalAssumptionError
-from .inner import SobolevParams, mono_inner_l2, poly_inner
+from .inner import L2, SobolevParams, mono_inner_l2, poly_inner
 from .poly import Poly
 from .rationals import ZERO, rat_str
-
-L2 = SobolevParams.l2()
 
 
 class OPFamily:
@@ -278,17 +276,16 @@ def sobolev_three_term(family: int, chi, maxdeg: int) -> OPFamily:
                         {"a": {}, "b_tilde": {}})
 
 
-def corner_normal_of_green_image(t: int, leg: list[Poly] | None = None):
+def corner_normal_of_green_image(t: int, leg: list[Poly]):
     """Normal derivative of f_t at q0 via the projection formula 2 <p_{t-1}, P_{0,2}>_2,
-    with p_{t-1} = leg[t - 1] (the k = 1 Legendre family, built if not given).
+    with p_{t-1} = leg[t - 1], the k = 1 Legendre member the caller built.
 
     Valid for t >= 2 (for t = 1 the mean of p_0 does not vanish and the
     formula does not apply).
     """
     if t < 2:
         raise ValueError("projection formula for the corner normal needs t >= 2")
-    p = (legendre(1, t - 1).polys if leg is None else leg)[t - 1]
-    return 2 * p.linear_form(lambda idx: mono_inner_l2((idx[0], 1), (0, 2)))
+    return 2 * leg[t - 1].linear_form(lambda idx: mono_inner_l2((idx[0], 1), (0, 2)))
 
 
 def _d_coef(normals: list, n: int):

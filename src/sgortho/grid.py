@@ -184,9 +184,10 @@ class FieldOnGrid:
     def max_abs(self):
         return max((abs(v) for v in self.values), default=ZERO)
 
-    def csv_rows(self, digits: int = 12):
+    def csv_rows(self, digits: int):
         """Rows (address, x, y, value) in address order, with deterministic
-        decimal rendering."""
+        decimal rendering to `digits` fractional digits (no default: `eval`
+        passes its --digits)."""
         m = self.grid.m
         xs, rs = _coordinates(m)
         den = 2 ** (m + 1)

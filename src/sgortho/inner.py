@@ -33,6 +33,9 @@ x_a y_b L2(a - r, b - r) as an integer over the common denominator of its
 (cached) L2 values, so there is one rational reduction per Laplacian order
 and one final division by D_f D_g, instead of three Fraction operations per
 pair of terms.  mono_inner keeps the per-monomial form for Gram matrices.
+
+`L2`, the SobolevParams with chi = (1,), is the one name of the plain L2
+product.
 """
 
 from __future__ import annotations
@@ -87,12 +90,12 @@ class SobolevParams:
     """Weights of the order-m Sobolev product, m = order = len(chi) - 1.
 
     chi[0] = 1, and the nonnegative entry chi[r] weights <Lap^r f, Lap^r g>_2;
-    chi = (1,) is the plain L2 product.  Immutable, equal and hashed by chi.
+    chi = (1,) is the plain L2 product, `L2`.  Immutable, equal and hashed by chi.
     """
 
     __slots__ = ("chi",)
 
-    def __init__(self, chi: tuple = (ONE,)):
+    def __init__(self, chi: tuple):
         # Fractions in a tuple, so that params can key the family memo; a
         # float weight is a TypeError, not a binary fraction
         chi = tuple(chi)
@@ -124,15 +127,14 @@ class SobolevParams:
         return len(self.chi) - 1
 
     @staticmethod
-    def l2() -> "SobolevParams":
-        return SobolevParams()
-
-    @staticmethod
     def order1(chi) -> "SobolevParams":
         return SobolevParams((ONE, chi))
 
     def to_json_dict(self) -> dict:
         return {"m": self.order, "chi": [rat_str(c) for c in self.chi]}
+
+
+L2 = SobolevParams((ONE,))
 
 
 def mono_inner(params: SobolevParams, a: Index, b: Index):

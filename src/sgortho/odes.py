@@ -22,11 +22,9 @@ from __future__ import annotations
 
 from .families import (OPFamily, green_seq, legendre, recurrence_steps,
                        sobolev_three_term, step_weights)
-from .inner import SobolevParams, poly_inner
+from .inner import L2, poly_inner
 from .poly import Poly
 from .rationals import rat_str
-
-L2 = SobolevParams.l2()
 
 
 def ode_residual(fam: OPFamily, n: int) -> Poly:

@@ -92,8 +92,8 @@ class Poly:
         return Poly()
 
     @staticmethod
-    def monomial(j: int, k: int, c=1) -> "Poly":
-        return Poly({(j, k): c})
+    def monomial(j: int, k: int) -> "Poly":
+        return Poly({(j, k): 1})
 
     # -- ring structure ---------------------------------------------------------
 

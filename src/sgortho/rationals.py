@@ -58,11 +58,12 @@ def rat_str(value) -> str:
     return n if d == "1" else f"{n}/{d}"
 
 
-def rat_decimal(value, digits: int = 12) -> str:
+def rat_decimal(value, digits: int) -> str:
     """Round-half-even decimal rendering with exactly `digits` fractional digits.
 
     Pure integer arithmetic, so the output is byte-identical across runs.
-    Rendering is the only lossy step anywhere.
+    Rendering is the only lossy step anywhere.  `digits` has no default:
+    every caller names it (the CLI's --digits, or 4 for a ratio column).
     """
     n, d = value.numerator, value.denominator
     sign = "-" if n < 0 else ""

@@ -14,6 +14,7 @@ pass right next to them and the equalities themselves are asserted:
     which holds only from t = 2 on.
 """
 
+import inspect
 import sys
 import time
 from fractions import Fraction
@@ -22,9 +23,9 @@ import pytest
 
 from sgortho import acceptance
 from sgortho.families import gram_schmidt, green_seq, legendre
-from sgortho.inner import SobolevParams, mono_inner_l2, poly_inner
-
-L2 = SobolevParams.l2()
+from sgortho.inner import L2, SobolevParams, mono_inner_l2, poly_inner
+from sgortho.interp import QuadratureRule, degenerate_spine_nodes
+from sgortho.poly import Poly
 
 
 def _report(name: str, result: acceptance.CheckResult):
@@ -45,6 +46,21 @@ def test_criterion_01_exact_orthogonality():
     result = _run(acceptance.check_orthogonality, "criterion-1 exact orthogonality",
                   budget=120)
     assert result.passed, result.detail
+
+
+def test_criterion_01_fails_on_a_nonorthogonal_member(monkeypatch):
+    build = acceptance.gram_schmidt
+
+    def wrong(params, family, maxdeg):
+        fam = build(params, family, maxdeg)
+        if family == 1:
+            fam.polys[3] = fam.polys[3] + Poly({(0, 1): Fraction(1, 10**9)})
+        return fam
+
+    monkeypatch.setattr(acceptance, "gram_schmidt", wrong)
+    result = acceptance.check_orthogonality()
+    assert not result.passed
+    assert result.detail.startswith("family 1: <s_3, s_0> =")
 
 
 def test_criterion_02_recurrence_equals_gram_schmidt():
@@ -233,6 +249,22 @@ def test_criterion_10_quadrature_exactness():
     assert result.passed, result.detail
 
 
+def test_criterion_10_fails_on_a_wrong_weight(monkeypatch):
+    build = acceptance.quadrature_weights
+
+    def wrong(n):
+        rule = build(n)
+        if n != 2:
+            return rule
+        weights = (rule.weights[0] + Fraction(1, 10**9),) + tuple(rule.weights[1:])
+        return QuadratureRule(rule.n, rule.nodes, weights)
+
+    monkeypatch.setattr(acceptance, "quadrature_weights", wrong)
+    result = acceptance.check_quadrature_exactness()
+    assert not result.passed
+    assert result.detail == "residual at n=2, P_(0,1)"
+
+
 def test_criterion_11_evaluation_convergence():
     result = _run(acceptance.check_evaluation_convergence,
                   "criterion-11 evaluation convergence")
@@ -242,6 +274,15 @@ def test_criterion_11_evaluation_convergence():
 def test_criterion_12_interpolation():
     result = _run(acceptance.check_interpolation, "criterion-12 interpolation")
     assert result.passed, result.detail
+
+
+def test_criterion_12_fails_on_a_singular_spine_matrix(monkeypatch):
+    build = acceptance.spine_nodes
+    monkeypatch.setattr(acceptance, "spine_nodes", lambda n: (
+        degenerate_spine_nodes(2) if n == 2 else build(n)))
+    result = acceptance.check_interpolation()
+    assert not result.passed
+    assert result.detail == "spine matrix n=2"
 
 
 def test_criterion_13_zero_count_report():
@@ -263,3 +304,12 @@ def test_full_battery_has_no_unexpected_failures():
     results = acceptance.run_all(include_slow=False)
     for r in results:
         assert r.ok, f"{r.name}: {r.detail}"
+
+
+def test_every_check_takes_no_parameters():
+    # the battery's sizes are constants in each check, not options
+    checks = [getattr(acceptance, name) for name in dir(acceptance)
+              if name.startswith("check_")]
+    assert len(checks) == 12
+    for check in checks:
+        assert not inspect.signature(check).parameters, check.__name__

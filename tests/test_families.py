@@ -12,10 +12,9 @@ from sgortho.families import (associated_family, corner_normal_of_green_image,
                               legendre_recurrence_coeffs, limit_family_sym,
                               sobolev_four_term, sobolev_higher,
                               sobolev_three_term)
-from sgortho.inner import SobolevParams, mono_inner_l2, poly_inner
+from sgortho.inner import L2, SobolevParams, mono_inner_l2, poly_inner
 from sgortho.poly import Poly
 
-L2 = SobolevParams.l2()
 S1 = SobolevParams.order1(1)
 
 
@@ -56,8 +55,8 @@ def _step_by_step(family, params, maxdeg):
         table = {"a": {}, "b": {}, "c": {}, "d": {}}
         for n in range(maxdeg - 2):
             hi, lo = fs[n + 3].normal_derivative(0), fs[n + 2].normal_derivative(0)
-            assert hi == corner_normal_of_green_image(n + 3)
-            assert lo == corner_normal_of_green_image(n + 2) != 0
+            assert hi == corner_normal_of_green_image(n + 3, leg.polys)
+            assert lo == corner_normal_of_green_image(n + 2, leg.polys) != 0
             d = table["d"][n] = -hi / lo
             rhs = fs[n + 3].combination(((d, fs[n + 2]),))
             assert rhs[(0, 2)] == 0

@@ -7,14 +7,13 @@ import pytest
 
 from sgortho.coeffs import TABLE
 from sgortho.families import sobolev_three_term
-from sgortho.inner import (SobolevParams, _l2_cache, gram_matrix, mono_inner,
+from sgortho.inner import (L2, SobolevParams, _l2_cache, gram_matrix, mono_inner,
                            mono_inner_l2, poly_inner)
 from sgortho.linalg import bareiss_det
 from sgortho.odes import chi_asymptotics
 from sgortho.poly import Poly
 from sgortho.rationals import ZERO
 
-L2 = SobolevParams.l2()
 S1 = SobolevParams.order1(1)
 
 

@@ -6,11 +6,10 @@ import pytest
 
 from sgortho.families import (green_seq, legendre, sobolev_four_term,
                               sobolev_higher, sobolev_three_term)
-from sgortho.inner import SobolevParams, poly_inner
+from sgortho.inner import L2, SobolevParams, poly_inner
 from sgortho.odes import chi_asymptotics, chi_limit_poly, higher_ode_residual, ode_residual
 from sgortho.rationals import Rat
 
-L2 = SobolevParams.l2()
 P2 = SobolevParams([1, 1, 1])
 
 
