@@ -74,7 +74,10 @@ def digest_commands() -> list[str]:
     weights, large weights and a k=1 grid field), and the option paths of
     the weight flags and --which (an order-2 Gram matrix with two weights,
     an order-2 k=1 family, a Legendre grid field, Sobolev zero counts at
-    chi = 1/2, and --chi with --m 0, which exits 2)."""
+    chi = 1/2, and --chi with --m 0, which exits 2), and the collocated grid
+    values at the solve levels the seed-0 requests miss (an eval three levels
+    deep, a monomial eval with the solve level equal to the level, and zero
+    counts four levels deep)."""
     out = [req.key for w in WORKLOADS for req in workloads.requests(w, 0)]
     out += [f"ops --family {k} --degree 16" for k in (1, 2, 3)]
     out += [f"ops --family {k} --m {m} --degree 12 --method gram-schmidt"
@@ -101,6 +104,9 @@ def digest_commands() -> list[str]:
             "eval --family 2 --degree 3 --level 2 --which legendre",
             "zeros --family 2 --degree 3 --level 3 --which sobolev --chi 1/2",
             "ops --family 2 --m 0 --chi 1 --degree 3"]
+    out += ["eval --family 1 --degree 4 --level 3 --solve-level 6",
+            "eval --family 2 --degree 6 --level 4 --which monomial --solve-level 4",
+            "zeros --family 3 --degree 5 --level 5 --solve-level 9"]
     return list(dict.fromkeys(out))
 
 

@@ -42,14 +42,13 @@ from .addresses import spine_address
 
 class CheckResult:
     def __init__(self, name: str, passed: bool, detail: str = "",
-                 expected_fail: bool = False, report_only: bool = False,
-                 seconds: float = 0.0):
+                 expected_fail: bool = False, report_only: bool = False):
         self.name = name
         self.passed = passed
         self.detail = detail
         self.expected_fail = expected_fail
         self.report_only = report_only
-        self.seconds = seconds
+        self.seconds = 0.0  # set by run_all
 
     @property
     def status(self) -> str:

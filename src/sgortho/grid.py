@@ -20,13 +20,17 @@ Exact polynomial values.  A polynomial u of degree J is fixed by its
 iterated Laplacian data Lap^t u (t <= J) at the three corners, and the
 exact midpoint rule (`midpoint_weights`) gives the data at each midpoint of
 a level-l cell from the data at its corners, with the pairs (w_s, v_s)
-scaled by 5^(-s l).  Integer form.  `multiharmonic_extend` keeps every
-vertex's data as ints over one running denominator D, starting from the
-corner data over their lcm.  At level l the scaled pairs are brought to one
-denominator d_l; the midpoints are computed from the unscaled corner ints,
-so they are over D d_l, and the prefix [0, n_l) is then multiplied by d_l
-and D by d_l.  Nothing is reduced until the level-m values become
-rationals, one reduction each.  Planar coordinates are dyadic ints; y
+scaled by 5^(-s l).  One descent kernel, `_descend`, applies a midpoint rule
+level by level to layered corner data; `multiharmonic_extend` gives it this
+exact rule, and `solver.eval_poly_grid` the collocation rule of each cell
+depth (the scaled layers and the depth recursion are in the solver's module
+docstring).  Integer form.  The kernel keeps every vertex's layers as ints
+over one running denominator D, starting from the corner data over their
+lcm.  At level l the rule comes over one denominator d_l; the midpoints
+are computed from the unscaled corner ints, so they are over D d_l, and
+the prefix [0, n_l) is then multiplied by d_l and D by d_l.  The last
+level computes layer 0 only.  Nothing is reduced until the level-m values
+become rationals, one reduction each.  Planar coordinates are dyadic ints; y
 carries a factor sqrt(3) and is rendered, correctly rounded, by `isqrt`.
 """
 
@@ -35,6 +39,7 @@ from __future__ import annotations
 import threading
 from itertools import product
 from math import isqrt
+from operator import add, mul
 
 from .addresses import VertexAddress
 from .errors import ConsistencyError
@@ -152,11 +157,11 @@ class FieldOnGrid:
     """Exact rational values attached to every vertex of a level grid.
 
     Either the exact values of a polynomial (`multiharmonic_extend`, the
-    integer form of the midpoint rule) or the exact solution of a collocation
-    problem (the solver), whose only error is the discretization of the
-    continuous operator, never roundoff.  `values[i]` belongs to vertex i of
-    the module's numbering; a single vertex is read by address with
-    `value_at`.
+    integer form of the midpoint rule) or the exact values of the solution
+    of a collocation problem (the solver), whose only error is the
+    discretization of the continuous operator, never roundoff.  `values[i]`
+    belongs to vertex i of the module's numbering; a single vertex is read
+    by address with `value_at`.
     """
 
     def __init__(self, grid: LevelGrid, values: list):
@@ -234,28 +239,46 @@ def midpoint_weights(s: int) -> tuple:
         return _weights[s]
 
 
-def multiharmonic_extend(data, m: int) -> FieldOnGrid:
-    """Exact values on the level-m grid of the polynomial with corner data
-    `data` = (L_q0, L_q1, L_q2), each L listing Lap^s u(q) for s <= degree."""
-    degree = len(data[0]) - 1
+def _descend(data, m: int, rule) -> FieldOnGrid:
+    """Layer 0 on the level-m grid of layered corner data, level by level.
+
+    `data` = (L_q0, L_q1, L_q2) lists layers 0..J at each corner.  At level
+    l, `rule(l, J + 1)` = (d, ws, vs) gives layer t at the midpoint of
+    corners a, b (c opposite) of every level-l cell as
+    sum_r (ws[r] (a + b)[t + r] + vs[r] c[t + r]) / d.  The last level needs
+    layer 0 only, so only layer 0 is computed there.
+    """
+    size = len(data[0])
     den, ints = over_common_denominator(x for lap in data for x in lap)
-    # laps[i][t] / den is Lap^t u at vertex i
-    laps = [ints[i:i + degree + 1] for i in range(0, len(ints), degree + 1)]
+    # laps[i][t] / den is layer t at vertex i
+    laps = [ints[i:i + size] for i in range(0, len(ints), size)]
     for level in range(m):
-        d, rule = over_common_denominator(x / 5 ** (s * level) for s in range(degree + 1)
-                                          for x in midpoint_weights(s))
-        ws, vs = rule[0::2], rule[1::2]
+        d, ws, vs = rule(level, size)
+        layers = 1 if level == m - 1 else size
         for a0, a1, a2 in _corner_table(level):
             x0, x1, x2 = laps[a0], laps[a1], laps[a2]
             for a, b, c in ((x0, x1, x2), (x0, x2, x1), (x1, x2, x0)):
-                ab = [x + y for x, y in zip(a, b)]
-                laps.append([sum(w * x + v * y
-                                 for w, v, x, y in zip(ws, vs, ab[t:], c[t:]))
-                             for t in range(degree + 1)])
+                ab = list(map(add, a, b))
+                laps.append([sum(map(mul, ws, ab[t:])) + sum(map(mul, vs, c[t:]))
+                             for t in range(layers)])
         n = _vertex_count(level)
-        laps[:n] = [[d * x for x in lap] for lap in laps[:n]]
+        laps[:n] = [[d * x for x in lap[:layers]] for lap in laps[:n]]
         den *= d
     return FieldOnGrid(build_grid(m), [Rat(lap[0], den) for lap in laps])
+
+
+def _exact_rule(level: int, size: int) -> tuple:
+    """The midpoint rule of the level-`level` cells: the pairs (w_s, v_s)
+    scaled by 5^(-s level), over one denominator."""
+    d, rule = over_common_denominator(x / 5 ** (s * level) for s in range(size)
+                                      for x in midpoint_weights(s))
+    return d, rule[0::2], rule[1::2]
+
+
+def multiharmonic_extend(data, m: int) -> FieldOnGrid:
+    """Exact values on the level-m grid of the polynomial with corner data
+    `data` = (L_q0, L_q1, L_q2), each L listing Lap^s u(q) for s <= degree."""
+    return _descend(data, m, _exact_rule)
 
 
 def harmonic_extend(boundary, m: int) -> FieldOnGrid:

@@ -1,14 +1,16 @@
-"""Exact direct solver for the discrete Dirichlet problem on level grids.
+"""Exact collocation on level grids: the Dirichlet solver and grid evaluation.
 
 The collocation discretization of Lap(u) = g at level L reads, for every
 interior vertex z (degree 4),
 
     sum_{y ~ z} (u(z) - u(y)) = -(2/3) 5^{-L} g(z),
 
-with the three corner values prescribed.  The hierarchy solves this exactly:
-the vertices new at level l are interior to a unique (l-1)-cell and couple
-only within it, so they can be eliminated cell by cell.  The local matrix is
-5I - ones(3,3) with inverse I/5 + ones/10, giving
+with the three corner values prescribed.
+
+dirichlet_solve solves it exactly for any load.  The vertices new at level l
+are interior to a unique (l-1)-cell and couple only within it, so they can
+be eliminated cell by cell.  The local matrix is 5I - ones(3,3) with inverse
+I/5 + ones/10, giving
 
     elimination:  corner load  b'(A) = (5/3) b(A)
                                 + sum_{cells C owning A} [ (2/3)(b_AB + b_AC)
@@ -19,7 +21,6 @@ only within it, so they can be eliminated cell by cell.  The local matrix is
                                + (3/10) b_AB + (1/10)(b_BC + b_AC).
 
 With zero loads the back-substitution is exactly the harmonic extension rule.
-
 Integer form.  The kernel `_solve` works on Python ints over one common
 denominator per level and never reduces.  Level-L loads are integers over
 D; each elimination level multiplies the load denominator by 3, the new
@@ -27,23 +28,74 @@ numerators being 5b(A) + sum [2(b_AB + b_AC) + b_BC].  The back-substitution
 starts from the corner values over a multiple of D 3^L, so every load
 level's denominator divides the value denominator, and each level multiplies
 that denominator by 10: 10 x_AB = 4A + 4B + 2C + 3b_AB + b_AC + b_BC.
-
 Vertices are numbered as in `grid` (see its module docstring).
 
-eval_poly_grid drives this for a polynomial: the top of its Laplacian chain is
-harmonic (a zero-load solve), then one solve per remaining chain layer with
-exact corner data from the boundary tables, its loads -2 V over 3 5^L E from
-the previous layer's values V / E.  The whole chain stays in ints; only the
-level-m output values become rationals, one reduction each.  Repeated runs
-are bit-identical, and the only error against the continuous problem is the
+eval_poly_grid collocates the Laplacian chain of a degree-J polynomial f:
+the layer u_J is harmonic, and each u_t (t < J) solves the system above
+with g = u_{t+1} and the corners Lap^t f(q_i).  With beta = -2/(3 5^L) the
+scaled layers U_t = beta^t u_t satisfy (graph Laplacian of U_t) = U_{t+1},
+with U_J harmonic and corners beta^t Lap^t f(q_i): L has left the equations.
+Cells meet only at their corners, so inside a cell the level-L solution is
+fixed by the layers at its corners, and by the same rule in every cell of
+the same depth d (a level-n cell has depth L - n).  Layer t at the midpoint
+of corners a, b (c opposite) is
+
+    U_t = sum_r W_r (a + b)_{t+r} + V_r c_{t+r},
+
+and eliminating the cell's interior leaves a triangle of unit edges (its
+equations times (5/3)^d) and adds
+
+    sum_r S_r a_{t+1+r} + T_r (b + c)_{t+1+r}
+
+to the load of corner a.  So the level-m values follow from a descent over
+V_m alone, the kernel `grid._descend` that `multiharmonic_extend` runs with
+the exact rule; here it runs with the depth-(L - n) rule at level n.
+
+Depth recursion.  Write each rule as a series in q, the layer offset
+(W = sum_r W_r q^r), starting from S = T = 0 at depth 0.  A depth-d cell is
+three depth-(d-1) cells around three midpoints; eliminating their interiors
+leaves the level-1 system of the midpoints with the loads P (own value) and
+Q (each of its four neighbours),
+
+    P = q ((5/3)^(d-1) + 2 S'),  Q = q T'   (primes: depth d-1),
+
+and the one-level elimination and back-substitution above give, with
+alpha = P W + Q (1 + W + V) and gamma = P V + 2 Q W,
+
+    W = 2/5 + (4 alpha + gamma)/10,       V = 1/5 + (2 alpha + 3 gamma)/10,
+    S = (5/3)(S' + 2 T' W) + (4 alpha + gamma)/(3q),
+    T = (5/3) T' (W + V) + (3 alpha + 2 gamma)/(3q).
+
+P and Q start at q, so coefficient r of W and V uses only lower ones.
+Integer form (`depth_rules`): w_r = 5 10^r W_r and v_r = 5 10^r V_r, and
+s_r, t_r are S_r, T_r times 3^d 5 10^r.  With p_i = 5^d [i = 1] + 2 s'_{i-1}
+and q_i = t'_{i-1}, for r >= 1
+
+    a_r = sum_{i=1..r} p_i w_{r-i} + q_i (w_{r-i} + v_{r-i} + 5 [i = r]),
+    g_r = sum_{i=1..r} p_i v_{r-i} + 2 q_i w_{r-i},
+    w_r = (4 a_r + g_r) / (5 3^(d-1)),   v_r = (2 a_r + 3 g_r) / (5 3^(d-1)),
+    s_r = 5 s'_r + 2 sum_j t'_j w_{r-j} + (4 a_{r+1} + g_{r+1}) / 5,
+    t_r = sum_j t'_j (w_{r-j} + v_{r-j}) + (3 a_{r+1} + 2 g_{r+1}) / 5,
+
+from w_0 = 2, v_0 = 1.  The divisions are exact: the denominators of W_r
+and V_r divide 2^r 5^(r+1), and those of S_r and T_r 3^d 2^r 5^(r+1) (the
+tests compare the recursion with Fraction arithmetic to depth 10 and order
+8 and run it to depth 30 and order 30); a remainder raises
+ConsistencyError.  The rules are memoized per depth and extended in r.
+They cost O(L J^2) int operations and the descent O(3^m J^2) for output
+level m, so the solve level enters only through the rules.  The level-m
+values become rationals, one reduction each.  Repeated runs are
+bit-identical, and the only error against the continuous problem is the
 collocation residual itself.
 """
 
 from __future__ import annotations
 
-from math import lcm
+import threading
+from math import gcd, lcm
 
-from .grid import FieldOnGrid, _corner_table, _vertex_count, build_grid
+from .errors import ConsistencyError
+from .grid import FieldOnGrid, _corner_table, _descend, _vertex_count, build_grid
 from .poly import Poly
 from .rationals import Rat, over_common_denominator
 
@@ -103,28 +155,81 @@ def dirichlet_solve(level: int, boundary, load) -> FieldOnGrid:
     return FieldOnGrid(grid, [Rat(v, den) for v in values])
 
 
-def _corner_values(f: Poly) -> list:
-    return [f.boundary_value(v) for v in (0, 1, 2)]
+_rules: list[tuple[list[int], list[int], list[int], list[int]]] = [([], [], [], [])]
+_rules_lock = threading.Lock()  # extension appends by index
+
+
+def _exact_quotient(x: int, y: int) -> int:
+    q, r = divmod(x, y)
+    if r:
+        raise ConsistencyError(f"a depth-rule division by {y} leaves {r}")
+    return q
+
+
+def depth_rules(depth: int, size: int) -> tuple:
+    """The integer rules (w, v, s, t) of the depth-`depth` cells to order
+    size - 1 (module docstring): W_r = w[r] / (5 10^r), V_r likewise, and
+    S_r = s[r] / (3^depth 5 10^r), T_r likewise.  Memoized per depth and
+    extended in r; depth 0 (no interior) has no rules."""
+    with _rules_lock:
+        while len(_rules) <= depth:
+            _rules.append(([], [], [], []))
+        for d in range(1, depth + 1):
+            w, v, s, t = _rules[d]
+            s0, t0 = _rules[d - 1][2:] if d > 1 else ([0] * size,) * 2
+
+            def sums(r):
+                a = g = 0
+                for k in range(r):
+                    p = 2 * s0[r - k - 1] + (5**d if k == r - 1 else 0)
+                    q = t0[r - k - 1]
+                    a += p * w[k] + q * (w[k] + v[k] + (5 if k == 0 else 0))
+                    g += p * v[k] + 2 * q * w[k]
+                return a, g
+
+            for r in range(len(w), size):
+                if r == 0:
+                    w.append(2)
+                    v.append(1)
+                else:
+                    a, g = sums(r)
+                    w.append(_exact_quotient(4 * a + g, 5 * 3 ** (d - 1)))
+                    v.append(_exact_quotient(2 * a + 3 * g, 5 * 3 ** (d - 1)))
+                a, g = sums(r + 1)
+                s.append(5 * s0[r] + 2 * sum(t0[j] * w[r - j] for j in range(r + 1))
+                         + _exact_quotient(4 * a + g, 5))
+                t.append(sum(t0[j] * (w[r - j] + v[r - j]) for j in range(r + 1))
+                         + _exact_quotient(3 * a + 2 * g, 5))
+        return tuple(tuple(x[:size]) for x in _rules[depth])
+
+
+def _collocation_rule(depth: int, size: int) -> tuple:
+    """The depth rule (W_r, V_r) as the descent takes it: (d, ws, vs) over
+    one reduced denominator d."""
+    w, v, _, _ = depth_rules(depth, size)
+    den = 5 * 10 ** (size - 1)
+    ws = [x * 10 ** (size - 1 - r) for r, x in enumerate(w)]
+    vs = [x * 10 ** (size - 1 - r) for r, x in enumerate(v)]
+    g = gcd(den, *ws, *vs)
+    return den // g, [x // g for x in ws], [x // g for x in vs]
 
 
 def eval_poly_grid(f: Poly, m: int, solve_level: int | None = None) -> FieldOnGrid:
     """Convergent evaluation of a polynomial on the level-m grid.
 
-    Solves the collocation chain at `solve_level` (default m + 2: the
-    oversampled solution restricted to level m is markedly more accurate) and
-    restricts.  Harmonic polynomials come out exact; for higher degrees the
-    values converge to the true ones as solve_level grows.
+    The level-m values of the collocation chain at `solve_level` (default
+    m + 2: the oversampled solution restricted to level m is markedly more
+    accurate), by the descent with the depth rules.  Harmonic polynomials
+    come out exact; for higher degrees the values converge to the true ones
+    as solve_level grows.
     """
     if solve_level is None:
         solve_level = m + 2
     if solve_level < m:
         raise ValueError("solve level must be at least the output level")
-    chain = [f]
-    while chain[-1].degree > 0:
-        chain.append(chain[-1].laplacian())
-    values, den = _solve(solve_level, _corner_values(chain[-1]),
-                         [0] * _vertex_count(solve_level), 1)
-    for layer in reversed(chain[:-1]):
-        values, den = _solve(solve_level, _corner_values(layer),
-                             [-2 * v for v in values], 3 * 5**solve_level * den)
-    return FieldOnGrid(build_grid(m), [Rat(v, den) for v in values[:_vertex_count(m)]])
+    beta = Rat(-2, 3 * 5**solve_level)
+    data = [[beta**t * x for t, x in enumerate(lap)] for lap in f.dirichlet_data()]
+
+    def rule(level, size):  # a level-n cell has depth solve_level - n
+        return _collocation_rule(solve_level - level, size)
+    return _descend(data, m, rule)

@@ -1,4 +1,5 @@
-"""Vertex addressing, level grids, the exact midpoint rule, the collocation solver."""
+"""Vertex addressing, level grids, the exact midpoint rule, the collocation
+solver and the depth rules of collocated evaluation."""
 
 import random
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -10,14 +11,14 @@ import pytest
 from sgortho.addresses import VertexAddress, mapped, spine_address
 from sgortho.coeffs import TABLE
 from sgortho.errors import ConsistencyError
-from sgortho.families import legendre
+from sgortho.families import legendre, sobolev_four_term
 from sgortho.grid import (EDGE_LETTERS, _corner_table, _vertex_count,
                           build_grid, cell_words, count_sign_changes,
                           harmonic_extend, midpoint_weights,
                           multiharmonic_extend, restrict_edge)
 from sgortho.poly import Poly
 from sgortho.rationals import rat_decimal
-from sgortho.solver import dirichlet_solve, eval_poly_grid
+from sgortho.solver import depth_rules, dirichlet_solve, eval_poly_grid
 
 #: Planar corner coordinates as (x, r) with y = r*sqrt(3).
 CORNER_XY = ((F(1, 2), F(1, 2)), (F(0), F(0)), (F(1), F(0)))
@@ -353,6 +354,151 @@ def test_eval_poly_grid_of_zero_and_constant():
     const = Poly({(0, 1): F(7, 3)})
     assert eval_poly_grid(const, 1, 3).values == \
         [const.boundary_value(0)] * 6
+
+
+def _brute_depth_rule(depth, r):
+    """(W_r, V_r, S_r, T_r) of a depth-`depth` cell by brute force: the scaled
+    chain (graph Laplacian of U_t) = U_{t+1} solved by `dirichlet_solve` on
+    the level-`depth` grid.  Unit data at corner q0 in layer r gives W_r and
+    V_r at the level-1 midpoints (0, 1) and (1, 2); unit data there in layer
+    r + 1 gives -S_r and -T_r, times (3/5)^depth, as the edge sums of layer
+    0 at q0 and q1."""
+    def layer0(top):
+        values = dirichlet_solve(depth, [1, 0, 0], lambda v: 0)
+        for _ in range(top):
+            prev = values
+            values = dirichlet_solve(depth, [0, 0, 0], prev.value_at)
+        return values
+
+    def edge_sum(field, corner):
+        word = (corner,) * depth
+        ends = [VertexAddress.make(word, c) for c in (0, 1, 2) if c != corner]
+        return sum(field.value_at(VertexAddress.make((), corner)) - field.value_at(y)
+                   for y in ends)
+
+    u = layer0(r)
+    w, v = (u.value_at(VertexAddress.make((0,), 1)),
+            u.value_at(VertexAddress.make((1,), 2)))
+    assert u.value_at(VertexAddress.make((0,), 2)) == w
+    u = layer0(r + 1)
+    scale = F(5, 3) ** depth
+    return w, v, -scale * edge_sum(u, 0), -scale * edge_sum(u, 1)
+
+
+@pytest.mark.parametrize("depth", (1, 2, 3))
+def test_depth_rules_match_brute_force(depth):
+    w, v, s, t = depth_rules(depth, 4)
+    for r in range(4):
+        scale = 5 * 10**r
+        assert (F(w[r], scale), F(v[r], scale), F(s[r], 3**depth * scale),
+                F(t[r], 3**depth * scale)) == _brute_depth_rule(depth, r)
+
+
+def _fraction_depth_rules(depth_max, size):
+    """The depth recursion as Fraction series in the layer offset q (the
+    solver's module docstring), written from the series form: the oracle
+    for the integer recursion behind `depth_rules`."""
+    def mul(a, b):  # truncated to the shorter series
+        return [sum(a[i] * b[r - i] for i in range(r + 1))
+                for r in range(min(len(a), len(b)))]
+
+    one = [F(1)] + [F(0)] * size
+    s = t = [F(0)] * size
+    out = []
+    for d in range(1, depth_max + 1):
+        p = [F(0)] + [F(5, 3) ** (d - 1) * one[r] + 2 * s[r] for r in range(size)]
+        q = [F(0)] + t
+        w, v = [F(0)] * (size + 1), [F(0)] * (size + 1)
+        for r in range(size + 1):  # coefficient r of alpha, gamma needs W, V below r
+            alpha = mul(p, w)[r] + mul(q, [x + y + z for x, y, z in zip(one, w, v)])[r]
+            gamma = mul(p, v)[r] + 2 * mul(q, w)[r]
+            w[r] = F(2, 5) * one[r] + (4 * alpha + gamma) / 10
+            v[r] = F(1, 5) * one[r] + (2 * alpha + 3 * gamma) / 10
+        alpha = [x + y for x, y in zip(mul(p, w), mul(q, [a + b + c for a, b, c
+                                                           in zip(one, w, v)]))]
+        gamma = [x + 2 * y for x, y in zip(mul(p, v), mul(q, w))]
+        tw, twv = mul(t, w), mul(t, [x + y for x, y in zip(w, v)])
+        s = [F(5, 3) * (s[r] + 2 * tw[r]) + (4 * alpha[r + 1] + gamma[r + 1]) / 3
+             for r in range(size)]
+        t = [F(5, 3) * twv[r] + (3 * alpha[r + 1] + 2 * gamma[r + 1]) / 3
+             for r in range(size)]
+        out.append((w[:size], v[:size], s, t))
+    return out
+
+
+def test_depth_rules_match_the_fraction_series():
+    size = 9
+    for d, rule in enumerate(_fraction_depth_rules(10, size), start=1):
+        w, v, s, t = depth_rules(d, size)
+        scales = [5 * 10**r for r in range(size)]
+        assert [F(x, c) for x, c in zip(w, scales)] == rule[0]
+        assert [F(x, c) for x, c in zip(v, scales)] == rule[1]
+        assert [F(x, 3**d * c) for x, c in zip(s, scales)] == rule[2]
+        assert [F(x, 3**d * c) for x, c in zip(t, scales)] == rule[3]
+    # every division of the integer recursion stays exact far beyond that
+    assert len(depth_rules(30, 31)[0]) == 31
+
+
+def test_depth_rules_extend_in_order_as_computed_at_once(monkeypatch):
+    import sgortho.solver as solver
+
+    monkeypatch.setattr(solver, "_rules", [([], [], [], [])])
+    at_once = [solver.depth_rules(d, 7) for d in range(1, 6)]
+    monkeypatch.setattr(solver, "_rules", [([], [], [], [])])
+    solver.depth_rules(2, 3)
+    solver.depth_rules(5, 5)
+    assert [solver.depth_rules(d, 7) for d in range(1, 6)] == at_once
+    assert solver.depth_rules(4, 2) == tuple(x[:2] for x in at_once[3])
+
+
+def test_concurrent_depth_rules_match_serial(monkeypatch):
+    import sys
+    import threading
+
+    import sgortho.solver as solver
+
+    requests = ((9, 4), (6, 8), (9, 8), (3, 2), (8, 6), (9, 7))
+    monkeypatch.setattr(solver, "_rules", [([], [], [], [])])
+    serial = [solver.depth_rules(*req) for req in requests]
+    monkeypatch.setattr(solver, "_rules", [([], [], [], [])])
+    results = [None] * len(requests)
+    errors = []
+    start = threading.Barrier(len(requests))
+
+    def worker(i):
+        try:
+            start.wait()
+            results[i] = solver.depth_rules(*requests[i])
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,))
+               for i in range(len(requests))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the extension
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert results == serial
+    assert [len(x) for x in solver._rules[9]] == [8] * 4
+
+
+@pytest.mark.parametrize("m, extra", [(m, e) for m in (1, 2) for e in (0, 1, 3)])
+def test_eval_poly_grid_descent_matches_fraction_oracle(m, extra):
+    # solve level = level, level + 1 and level + 3; a k=1 Sobolev member, a
+    # Green image (which carries P_{0,2}), mixed families and the zero polynomial
+    polys = [sobolev_four_term(F(1), 4).polys[4], legendre(1, 3).polys[3].green(),
+             Poly({(3, 1): F(2), (2, 3): F(-5, 7), (0, 2): F(1, 4)}),
+             legendre(2, 4).polys[4], Poly({})]
+    for f in polys:
+        assert eval_poly_grid(f, m, m + extra).values == \
+            _fraction_eval_poly_grid(f, m, m + extra)
 
 
 def test_grid_evaluation_exact_for_low_degree():
