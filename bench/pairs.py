@@ -77,7 +77,9 @@ def digest_commands() -> list[str]:
     chi = 1/2, and --chi with --m 0, which exits 2), and the collocated grid
     values at the solve levels the seed-0 requests miss (an eval three levels
     deep, a monomial eval with the solve level equal to the level, and zero
-    counts four levels deep)."""
+    counts four levels deep), and the recurrence families too short for a
+    step, each naming its empty tables (four-term at degree 2, order 2 at
+    degree 2 and three-term at degree 0)."""
     out = [req.key for w in WORKLOADS for req in workloads.requests(w, 0)]
     out += [f"ops --family {k} --degree 16" for k in (1, 2, 3)]
     out += [f"ops --family {k} --m {m} --degree 12 --method gram-schmidt"
@@ -107,6 +109,8 @@ def digest_commands() -> list[str]:
     out += ["eval --family 1 --degree 4 --level 3 --solve-level 6",
             "eval --family 2 --degree 6 --level 4 --which monomial --solve-level 4",
             "zeros --family 3 --degree 5 --level 5 --solve-level 9"]
+    out += ["ops --family 1 --degree 2", "ops --family 3 --m 2 --degree 2",
+            "ops --family 2 --degree 0"]
     return list(dict.fromkeys(out))
 
 

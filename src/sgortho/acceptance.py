@@ -125,16 +125,14 @@ def check_ode_identities() -> CheckResult:
     """Differential-equation residuals are identically zero."""
     for fam in (2, 3):
         for chi in (Rat(1), Rat(1, 2)):
-            sob = sobolev_three_term(fam, chi, 8)
-            for n in range(7):
-                if not ode_residual(sob, n).is_zero():
+            for n, residual in enumerate(ode_residual(sobolev_three_term(fam, chi, 8))):
+                if not residual.is_zero():
                     return CheckResult("ode-identities", False,
                                        f"order-1 residual n={n} k={fam} chi={rat_str(chi)}")
     p2 = SobolevParams([1, 1, 1])
     for fam in (2, 3):
-        sob = sobolev_higher(p2, fam, 8)
-        for n in range(5):
-            if not ode_residual(sob, n).is_zero():
+        for n, residual in enumerate(ode_residual(sobolev_higher(p2, fam, 8))):
+            if not residual.is_zero():
                 return CheckResult("ode-identities", False,
                                    f"order-2 residual n={n} k={fam}")
     return CheckResult("ode-identities", True, "n <= 6 (order 1), n <= 4 (order 2)")
@@ -156,8 +154,8 @@ def check_coefficient_identities() -> CheckResult:
                     == poly_inner(L2, p, p) / ss > 0):
                 return CheckResult("coefficient-identities", False,
                                    f"b~_{n} family {fam}")
-        for n in range(2, 9):
-            if legendre_recurrence_coeffs(fam, n)[1] != leg.norms_sq[n] / leg.norms_sq[n - 1]:
+        for n, (_, c) in enumerate(legendre_recurrence_coeffs(fam, 9)):
+            if n >= 2 and c != leg.norms_sq[n] / leg.norms_sq[n - 1]:
                 return CheckResult("coefficient-identities", False,
                                    f"c_{n} family {fam}")
     return CheckResult("coefficient-identities", True, "1 <= n <= 8, families 2,3")
@@ -350,20 +348,20 @@ def check_interpolation() -> CheckResult:
                        f"|det V1| = {float(abs(v1_det)):.3e} > 1e-8")
 
 
-def zero_count_report(level: int = 5) -> CheckResult:
+def zero_count_report() -> CheckResult:
     """Exact edge sign-change counts and max-norm ratios of p_3, s_3, p_5 and
-    s_5 (k=3, chi=1) at `level` (report only, not gated)."""
+    s_5 (k=3, chi=1) at level 5 (report only, not gated)."""
     lines = []
     leg = legendre(3, 5)
     sob = sobolev_three_term(3, 1, 5)
     fields = {}
     for d in (3, 5):
         for label, poly in (("p", leg.polys[d]), ("s", sob.polys[d])):
-            fld = multiharmonic_extend(poly.dirichlet_data(), level)
+            fld = multiharmonic_extend(poly.dirichlet_data(), 5)
             fields[(label, d)] = fld
             counts = [count_sign_changes(restrict_edge(fld, edge))
                       for edge in ("bottom", "left", "right")]
-            lines.append(f"{label}_{d} (k=3, level {level}): " + ", ".join(
+            lines.append(f"{label}_{d} (k=3, level 5): " + ", ".join(
                 f"{e}: {ch} changes/{zr} zeros"
                 for e, (ch, zr) in zip(("bottom", "left", "right"), counts)))
     mags = [f"max|{label}_{d}| = {float(fields[(label, d)].max_abs()):.2e}"

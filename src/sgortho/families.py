@@ -1,16 +1,17 @@
 """Construction of Legendre and Sobolev orthogonal polynomial families.
 
 Gram-Schmidt over the monomial sequence builds every family.  The paper's
-recurrences are not a second construction: the recurrence builders take
-their members and norms from the memoized Gram-Schmidt family and read each
-recurrence coefficient off it as an exact projection.
+recurrences are not a second construction: each recurrence builder hands its
+method and tables to `_recurrence_family`, which reads every coefficient off
+the memoized Gram-Schmidt family as an exact projection and returns the
+finished family, with every table named (empty when no step fits).
 
 `recurrence_steps` is the one definition of each recurrence.  The builders
 fill their tables from its steps, `acceptance.check_recurrence_equivalence`
 rebuilds every member from the same steps (its Green image, the reported
 coefficients and the lower members) and compares it with Gram-Schmidt, and
-`odes.ode_residual` reads the coefficients of its differential equation from
-them.
+`odes.ode_residual` reads the coefficients of its differential equations, at
+every degree in one walk, from them.
 
 Builders:
   * gram_schmidt     -- any family, any inner-product parameters
@@ -75,8 +76,8 @@ class OPFamily:
 
     polys[n] is the unique monic degree-n polynomial of the family orthogonal
     to all lower degrees under `params`; norms_sq[n] is its exact squared norm.
-    The recurrence builders add their coefficient tables in `recurrence`.
-    Every builder call returns a new instance with its own lists.
+    `recurrence` holds the coefficient tables of the recurrence `method`
+    names.  Every builder call returns a new instance with its own lists.
     """
 
     def __init__(self, family: int, params: SobolevParams, polys: list[Poly],
@@ -155,8 +156,7 @@ def gram_schmidt(params: SobolevParams, family: int, maxdeg: int) -> OPFamily:
 def legendre(family: int, maxdeg: int) -> OPFamily:
     """Monic orthogonal family for the plain L2 product."""
     fam = gram_schmidt(L2, family, maxdeg)
-    fam.method = "legendre"
-    return fam
+    return OPFamily(family, L2, fam.polys, fam.norms_sq, "legendre")
 
 
 def green_seq(family: int, count: int) -> list[Poly]:
@@ -181,17 +181,20 @@ def green_seq(family: int, count: int) -> list[Poly]:
         return out[:count + 1]
 
 
-def legendre_recurrence_coeffs(family: int, n: int):
-    """(b_n, c_n) with f_{n+1} = p_{n+1} + b_n p_n + c_n p_{n-1}, recovered by
-    exact L2 projection; a nonzero residual is fatal."""
-    leg = legendre(family, n + 1)
-    f = green_seq(family, n + 1)[n + 1]
-    residual, coefs = _orthogonalize(L2, f, leg.polys, leg.norms_sq,
-                                     (n, n - 1) if n >= 1 else (0,))
-    if not (residual - leg.polys[n + 1]).is_zero():
-        raise ConsistencyError(f"three-term Legendre expansion of f_{n + 1} "
-                               "has a nonzero residual")
-    return coefs[0], (coefs[1] if n >= 1 else ZERO)
+def legendre_recurrence_coeffs(family: int, count: int) -> list:
+    """[(b_n, c_n) for n < count] with f_{n+1} = p_{n+1} + b_n p_n + c_n p_{n-1},
+    recovered by exact L2 projection; a nonzero residual is fatal."""
+    leg = legendre(family, count)
+    fs = green_seq(family, count)
+    out = []
+    for n in range(count):
+        residual, coefs = _orthogonalize(L2, fs[n + 1], leg.polys, leg.norms_sq,
+                                         (n, n - 1) if n >= 1 else (0,))
+        if not (residual - leg.polys[n + 1]).is_zero():
+            raise ConsistencyError(f"three-term Legendre expansion of f_{n + 1} "
+                                   "has a nonzero residual")
+        out.append((coefs[0], coefs[1] if n >= 1 else ZERO))
+    return out
 
 
 def recurrence_steps(method: str, m: int, maxdeg: int) -> list:
@@ -227,30 +230,33 @@ def step_weights(u, tables) -> list:
     return [(t, 1 if ref is None else tables[ref[0]][ref[1]]) for t, ref in u]
 
 
-def _read_tables(fam: OPFamily, leg: list[Poly], tables: dict) -> OPFamily:
-    """fam with its recurrence table read off by projection, leg[t] being the
+def _recurrence_family(method: str, params: SobolevParams, family: int,
+                       maxdeg: int, leg: list[Poly], tables: dict) -> OPFamily:
+    """The Gram-Schmidt family of `params` to degree maxdeg with the table of
+    the recurrence `method` read off by projection, leg[t] being the
     Legendre p_t: the entry (table, key, i) of a step is
     <G^m u, s_i>_{S^m} / |s_i|^2.  With every t of u >= m the product takes
     the moment form of the module docstring, which leaves out the k = 1 term
     sigma(s) <u, P_{0,2}>_2 that the four-term d_n makes vanish; otherwise it
     is the dense product.  `tables` holds every table in output order, the
     ones the steps only read already filled."""
-    params, m = fam.params, fam.params.order
+    gs = gram_schmidt(params, family, maxdeg)
+    m = params.order
     nu = {}
 
     def moment(u, d):  # <u, P_{d,k}>_2, each nu_t(d) = <p_t, P_{d,k}>_2 once
         for t, _ in u:
             if t <= d and (t, d) not in nu:
-                nu[t, d] = leg[t].linear_form(lambda idx: mono_inner_l2(idx, (d, fam.family)))
+                nu[t, d] = leg[t].linear_form(lambda idx: mono_inner_l2(idx, (d, family)))
         return sum((w * nu[t, d] for t, w in u if t <= d), ZERO)
 
-    for _, u, entries in recurrence_steps(fam.method, m, len(fam.polys) - 1):
+    for _, u, entries in recurrence_steps(method, m, maxdeg):
         u = step_weights(u, tables)
         low = min(t for t, _ in u)
         image = (Poly.zero().combination([(w, leg[t].green_power(m)) for t, w in u])
                  if low < m else None)
         for name, key, i in entries:
-            s = fam.polys[i]
+            s = gs.polys[i]
             if image is not None:
                 product = poly_inner(params, image, s)
             else:
@@ -260,9 +266,8 @@ def _read_tables(fam: OPFamily, leg: list[Poly], tables: dict) -> OPFamily:
                         product += chi * sum((x * moment(u, j + m - 2 * r) for (j, _), x
                                               in s.nums.items() if j + m - 2 * r >= low), ZERO)
                 product /= s.den
-            tables[name][key] = product / fam.norms_sq[i]
-    fam.recurrence = tables
-    return fam
+            tables[name][key] = product / gs.norms_sq[i]
+    return OPFamily(family, params, gs.polys, gs.norms_sq, method, tables)
 
 
 def sobolev_three_term(family: int, chi, maxdeg: int) -> OPFamily:
@@ -270,10 +275,9 @@ def sobolev_three_term(family: int, chi, maxdeg: int) -> OPFamily:
     s_{n+1} = f_{n+1} - a_n s_n - b~_n s_{n-1}, read off by projection."""
     if family not in (2, 3):
         raise ValueError("three-term recurrence applies to families 2 and 3")
-    fam = gram_schmidt(SobolevParams.order1(chi), family, maxdeg)
-    fam.method = "three-term"
-    return _read_tables(fam, legendre(family, max(maxdeg - 1, 0)).polys,
-                        {"a": {}, "b_tilde": {}})
+    return _recurrence_family("three-term", SobolevParams.order1(chi), family,
+                              maxdeg, legendre(family, max(maxdeg - 1, 0)).polys,
+                              {"a": {}, "b_tilde": {}})
 
 
 def corner_normal_of_green_image(t: int, leg: list[Poly]):
@@ -305,20 +309,18 @@ def sobolev_four_term(chi, maxdeg: int) -> OPFamily:
     corner normal derivative between f_{n+3} and f_{n+2}; the divisor
     vanishing raises MathematicalAssumptionError.
     """
-    fam = gram_schmidt(SobolevParams.order1(chi), 1, maxdeg)
-    fam.method = "four-term"
-    if maxdeg <= 2:
-        return fam
-    leg = legendre(1, maxdeg - 1).polys
+    params = SobolevParams.order1(chi)
+    leg = legendre(1, max(maxdeg - 1, 0)).polys
     normals = [f.normal_derivative(0) for f in green_seq(1, maxdeg)]
     if any(normals[t] != corner_normal_of_green_image(t, leg)
            for t in range(2, maxdeg + 1)):
         raise ConsistencyError("corner normal of a Green image disagrees "
                                "with its projection formula")
     # the corner normal of G u is 2 <u, P_{0,2}>_2, so d_n makes the
-    # out-of-family term that _read_tables leaves out vanish
+    # out-of-family term that the moment form leaves out vanish
     d = {n: _d_coef(normals, n) for n in range(maxdeg - 2)}
-    return _read_tables(fam, leg, {"a": {}, "b": {}, "c": {}, "d": d})
+    return _recurrence_family("four-term", params, 1, maxdeg, leg,
+                              {"a": {}, "b": {}, "c": {}, "d": d})
 
 
 def sobolev_higher(params: SobolevParams, family: int, maxdeg: int) -> OPFamily:
@@ -332,11 +334,8 @@ def sobolev_higher(params: SobolevParams, family: int, maxdeg: int) -> OPFamily:
         raise ValueError("higher recurrence needs order >= 2")
     if params.chi[m] <= 0:
         raise ValueError("top Sobolev weight must be positive")
-    fam = gram_schmidt(params, family, maxdeg)
-    fam.method = "higher-recurrence"
-    if maxdeg <= m:
-        return fam
-    return _read_tables(fam, legendre(family, maxdeg - m).polys, {"a": {}})
+    return _recurrence_family("higher-recurrence", params, family, maxdeg,
+                              legendre(family, max(maxdeg - m, 0)).polys, {"a": {}})
 
 
 def associated_family(chi, family: int, maxdeg: int) -> OPFamily:

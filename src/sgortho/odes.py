@@ -11,7 +11,7 @@ where c_t is the coefficient of s_n in the recurrence step for G^m p_t:
 whose member index is n.  The coefficients are read off
 `families.recurrence_steps`, so the three-term and the order-m tables share
 one residual.  Steps with t < m add nothing, since Lap^m p_t = 0.
-`ode_residual` returns left minus right, which must be the zero polynomial.
+`ode_residual` returns left minus right at every degree; each must be zero.
 
 chi_asymptotics quantifies the O(1/chi) convergence of s_n(., chi) toward its
 weight-independent limit, entirely in exact rational arithmetic (squared L2
@@ -27,25 +27,26 @@ from .poly import Poly
 from .rationals import rat_str
 
 
-def ode_residual(fam: OPFamily, n: int) -> Poly:
-    """Residual at degree n of the identity above for a k = 2, 3 recurrence
-    family (three-term or higher-recurrence) built to degree n + 2m."""
+def ode_residual(fam: OPFamily) -> list[Poly]:
+    """Residuals of the identity above at every degree n <= maxdeg - 2m of a
+    k = 2, 3 recurrence family (three-term or higher-recurrence): the identity
+    at n reads members to degree n + 2m.  Each recurrence step adds its terms
+    to the residuals of the member it produces and of the members it names."""
     if fam.method not in ("three-term", "higher-recurrence"):
         raise ValueError("the identity needs a k=2,3 recurrence family")
     m, maxdeg, tables = fam.params.order, len(fam.polys) - 1, fam.recurrence
-    if maxdeg < n + 2 * m:
-        raise ValueError(f"family must be built to degree n + 2m = {n + 2 * m}")
-    leg = legendre(fam.family, n + m)
-    s_n = fam.polys[n]
-    terms = [(chi, s_n.laplacian_power(2 * r))
-             for r, chi in enumerate(fam.params.chi)]
+    top = maxdeg - 2 * m
+    leg = legendre(fam.family, max(top + m, 0))
+    lap = [p.laplacian_power(m) for p in leg.polys]
+    terms = [[(chi, fam.polys[n].laplacian_power(2 * r))
+              for r, chi in enumerate(fam.params.chi)] for n in range(top + 1)]
     for degree, u, entries in recurrence_steps(fam.method, m, maxdeg):
-        c = 1 if degree == n else next(
-            (tables[name][key] for name, key, i in entries if i == n), 0)
-        terms += [(-c * w * fam.norms_sq[n] / leg.norms_sq[t],
-                   leg.polys[t].laplacian_power(m))
-                  for t, w in step_weights(u, tables) if c and t >= m]
-    return Poly.zero().combination(terms)
+        u = [(t, w) for t, w in step_weights(u, tables) if t >= m]
+        for c, n in [(1, degree)] + [(tables[name][key], i) for name, key, i in entries]:
+            if n <= top:
+                terms[n] += [(-c * w * fam.norms_sq[n] / leg.norms_sq[t], lap[t])
+                             for t, w in u]
+    return [Poly.zero().combination(t) for t in terms]
 
 
 # the order-m name of the same residual, read by the traced layer list

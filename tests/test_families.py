@@ -34,7 +34,6 @@ def _step_by_step(family, params, maxdeg):
     base = 2 if family == 1 else m
     start = gram_schmidt(params, family, min(base, maxdeg))
     polys, norms = start.polys, start.norms_sq
-    table = {}
 
     def add(s):
         polys.append(s)
@@ -49,8 +48,8 @@ def _step_by_step(family, params, maxdeg):
             s, (table["a"][n], table["b_tilde"][n]) = _project(
                 params, fs[n + 1], polys, norms, (n, n - 1))
             add(s)
-    elif m == 1 and maxdeg > 2:
-        leg = legendre(1, maxdeg - 1)
+    elif m == 1:
+        leg = legendre(1, max(maxdeg - 1, 0))
         fs = green_seq(1, maxdeg)
         table = {"a": {}, "b": {}, "c": {}, "d": {}}
         for n in range(maxdeg - 2):
@@ -64,8 +63,8 @@ def _step_by_step(family, params, maxdeg):
             s, (table["a"][n], table["b"][n]) = _project(params, rhs, polys, norms,
                                                          (n + 2, n + 1))
             add(s.combination(((-c, polys[n]),)))
-    elif m >= 2 and maxdeg > m:
-        leg = legendre(family, maxdeg - m)
+    else:
+        leg = legendre(family, max(maxdeg - m, 0))
         table = {"a": {}}
         for n in range(maxdeg - m):
             ls = range(min(2 * m, n + m + 1))
@@ -192,11 +191,33 @@ def test_legendre_recurrence_coeffs():
     for fam in (2, 3):
         leg = legendre(fam, 9)
         fs = green_seq(fam, 9)
+        coeffs = legendre_recurrence_coeffs(fam, 9)
+        assert len(coeffs) == 9
         for n in range(2, 9):
-            b, c = legendre_recurrence_coeffs(fam, n)
+            b, c = coeffs[n]
             assert c == leg.norms_sq[n] / leg.norms_sq[n - 1]
             for j in range(n - 1):
                 assert poly_inner(L2, fs[n + 1], leg.polys[j]) == 0
+
+
+def test_legendre_recurrence_coeffs_are_prefixes():
+    for fam in (2, 3):
+        assert legendre_recurrence_coeffs(fam, 5) == legendre_recurrence_coeffs(fam, 9)[:5]
+        assert legendre_recurrence_coeffs(fam, 0) == []
+
+
+def test_legendre_recurrence_coeffs_build_legendre_a_fixed_number_of_times(monkeypatch):
+    # one Legendre build for the projections and one for the Green images,
+    # whatever the count
+    counts = []
+    for count in (3, 9):
+        calls = []
+        monkeypatch.setattr(families, "_green", {})
+        monkeypatch.setattr(families, "legendre",
+                            lambda *args: calls.append(args) or legendre(*args))
+        assert len(legendre_recurrence_coeffs(2, count)) == count
+        counts.append(len(calls))
+    assert counts == [2, 2]
 
 
 def test_four_term_equals_gram_schmidt():
@@ -297,6 +318,18 @@ def test_recurrence_tables_match_step_by_step(family, order, chi):
         assert built.norms_sq == norms
 
 
+@pytest.mark.parametrize("family,params,names", [
+    (2, S1, ["a", "b_tilde"]), (3, S1, ["a", "b_tilde"]),
+    (1, S1, ["a", "b", "c", "d"]),
+    (2, SobolevParams([1, 1, 1]), ["a"]), (3, SobolevParams([1, 1, 1, 1]), ["a"])])
+def test_short_recurrence_families_name_every_table(family, params, names):
+    # a family too short for a recurrence step still names each table, empty
+    for maxdeg in range(params.order + 3):
+        fam = _build(family, params, maxdeg)
+        assert list(fam.recurrence) == names, maxdeg
+        assert list(fam.to_json_dict()["recurrence"]) == names, maxdeg
+
+
 def test_higher_recurrence_uses_2m_trailing_terms():
     params = SobolevParams([1, 1, 1])
     hi = sobolev_higher(params, 3, 8)
@@ -368,8 +401,7 @@ def test_associated_family_closed_forms():
         fs = green_seq(fam, 4)
         assoc = associated_family(chi, fam, 4)
         d0_sq, d1_sq, d2_sq = (leg.norms_sq[i] for i in (0, 1, 2))
-        b0, _ = legendre_recurrence_coeffs(fam, 0)
-        b1, _ = legendre_recurrence_coeffs(fam, 1)
+        (b0, _), (b1, _) = legendre_recurrence_coeffs(fam, 2)
         t2_expected = -(d1_sq * (b0 + b1)) / (d1_sq + b0 * b0 * d0_sq + chi * d0_sq)
         assert assoc.recurrence["t"][2] == t2_expected
         u3_expected = -d2_sq / (poly_inner(L2, fs[1], fs[1]) + chi * d0_sq)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from sgortho import odes
 from sgortho.families import (green_seq, legendre, sobolev_four_term,
                               sobolev_higher, sobolev_three_term)
 from sgortho.inner import L2, SobolevParams, poly_inner
@@ -18,33 +19,55 @@ P2 = SobolevParams([1, 1, 1])
     (4, F(1, 2), 2), (5, F(1), 3), (2, F(1000), 3),
 ])
 def test_ode_residual_is_zero(n, chi, family):
-    assert ode_residual(sobolev_three_term(family, chi, n + 2), n).is_zero()
+    residuals = ode_residual(sobolev_three_term(family, chi, n + 2))
+    assert len(residuals) == n + 1
+    assert residuals[n].is_zero()
 
 
 @pytest.mark.parametrize("n,family", [(2, 3), (2, 2), (3, 2), (3, 3), (4, 3),
                                       (0, 2), (0, 3), (1, 2), (1, 3)])
 def test_higher_ode_residual_is_zero(n, family):
-    assert higher_ode_residual(sobolev_higher(P2, family, n + 4), n).is_zero()
+    residuals = higher_ode_residual(sobolev_higher(P2, family, n + 4))
+    assert len(residuals) == n + 1
+    assert residuals[n].is_zero()
 
 
 @pytest.mark.parametrize("family", [2, 3])
 @pytest.mark.parametrize("chi", [(1, F(3, 8), 2, 1), (1, 0, 0, 1)])
 def test_order3_ode_residual_is_zero(family, chi):
-    fam = sobolev_higher(SobolevParams(chi), family, 12)
-    for n in range(7):
-        assert ode_residual(fam, n).is_zero(), n
+    residuals = ode_residual(sobolev_higher(SobolevParams(chi), family, 12))
+    assert len(residuals) == 7
+    for n, residual in enumerate(residuals):
+        assert residual.is_zero(), n
+
+
+@pytest.mark.parametrize("chi", [(1, 1), (1, 1, 1), (1, F(1, 2), 0, 3)])
+def test_ode_residual_covers_every_degree(chi):
+    # maxdeg - 2m + 1 residuals, none for a family built below degree 2m
+    params = SobolevParams(chi)
+    m = params.order
+    for maxdeg in range(2 * m + 3):
+        fam = (sobolev_three_term(3, chi[1], maxdeg) if m == 1
+               else sobolev_higher(params, 3, maxdeg))
+        residuals = ode_residual(fam)
+        assert len(residuals) == max(maxdeg - 2 * m + 1, 0), maxdeg
+        assert all(r.is_zero() for r in residuals), maxdeg
+
+
+def test_ode_residual_builds_legendre_once(monkeypatch):
+    # one Legendre build, whatever the degree of the family
+    for fam in (sobolev_three_term(2, 1, 4), sobolev_three_term(2, 1, 12),
+                sobolev_higher(P2, 3, 6), sobolev_higher(P2, 3, 12)):
+        calls = []
+        monkeypatch.setattr(odes, "legendre",
+                            lambda *args: calls.append(args) or legendre(*args))
+        ode_residual(fam)
+        assert len(calls) == 1
 
 
 def test_ode_residual_rejects_a_four_term_family():
     with pytest.raises(ValueError):
-        ode_residual(sobolev_four_term(1, 8), 2)
-
-
-def test_ode_residual_rejects_a_family_built_too_low():
-    # degree n + 2m is the top member the identity at n reads
-    for fam in (sobolev_three_term(2, 1, 4), sobolev_higher(P2, 3, 6)):
-        with pytest.raises(ValueError, match="n \\+ 2m"):
-            ode_residual(fam, 3)
+        ode_residual(sobolev_four_term(1, 8))
 
 
 def test_ode_left_side_degree():
