@@ -79,7 +79,10 @@ def digest_commands() -> list[str]:
     deep, a monomial eval with the solve level equal to the level, and zero
     counts four levels deep), and the recurrence families too short for a
     step, each naming its empty tables (four-term at degree 2, order 2 at
-    degree 2 and three-term at degree 0)."""
+    degree 2 and three-term at degree 0), and the payloads the CLI renders
+    from exact values that no other command reaches (the corrected n = 2
+    large-weight limit, a sweep with zero errors, no ratio and no limit key,
+    and a single-family Gram matrix with L2 weights)."""
     out = [req.key for w in WORKLOADS for req in workloads.requests(w, 0)]
     out += [f"ops --family {k} --degree 16" for k in (1, 2, 3)]
     out += [f"ops --family {k} --m {m} --degree 12 --method gram-schmidt"
@@ -111,6 +114,9 @@ def digest_commands() -> list[str]:
             "zeros --family 3 --degree 5 --level 5 --solve-level 9"]
     out += ["ops --family 1 --degree 2", "ops --family 3 --m 2 --degree 2",
             "ops --family 2 --degree 0"]
+    out += ["sweep-chi --family 3 --n 2 --chi-list 1/2,100",
+            "sweep-chi --family 2 --n 1 --chi-list 3,30",
+            "gram --family 2 --maxdeg 4 --m 0"]
     return list(dict.fromkeys(out))
 
 

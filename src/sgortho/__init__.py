@@ -15,12 +15,11 @@ from .families import (OPFamily, associated_family, gram_schmidt, green_seq,
 from .grid import (FieldOnGrid, LevelGrid, build_grid, count_sign_changes,
                    harmonic_extend, multiharmonic_extend, restrict_edge)
 from .addresses import VertexAddress, spine_address
-from .inner import (GramMatrix, SobolevParams, gram_matrix, mono_inner,
-                    mono_inner_l2, poly_inner)
-from .interp import (InterpolationMatrix, NodeSet, QuadratureRule,
-                     composite_quadrature, degenerate_spine_nodes,
-                     interpolation_matrix, quadrature_error_study,
-                     quadrature_weights, spine_nodes, v1_nodes)
+from .inner import SobolevParams, gram_matrix, mono_inner, mono_inner_l2, poly_inner
+from .interp import (NodeSet, QuadratureRule, composite_quadrature,
+                     degenerate_spine_nodes, interpolation_matrix,
+                     quadrature_error_study, quadrature_weights, spine_nodes,
+                     v1_nodes)
 from .odes import chi_asymptotics, higher_ode_residual, ode_residual
 from .poly import Poly
 from .rationals import Rat, rat_decimal, rat_from_str, rat_str

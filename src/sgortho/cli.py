@@ -1,10 +1,12 @@
-"""Command-line front end.
+"""Command-line front end, and the one place that renders output.
 
-All computation is exact rational; decimal rendering (controlled by --digits)
-is the only lossy step, so re-running a command with identical flags produces
-byte-identical output.  The weight flags --chi and --chi-list accept exact
-fractions ("--chi 1/2"), and `zeros` counts a grid value as a zero only when
-it is exactly 0.  CSV output is comma-separated UTF-8 with LF line endings
+All computation is exact rational, and the library calls return exact values
+(Fractions, Polys, lists of them); this module turns them into CSV rows and
+JSON payloads.  Decimal rendering (controlled by --digits) is the only lossy
+step, so re-running a command with identical flags produces byte-identical
+output.  The weight flags --chi and --chi-list accept exact fractions
+("--chi 1/2"), and `zeros` counts a grid value as a zero only when it is
+exactly 0.  CSV output is comma-separated UTF-8 with LF line endings
 and a header row; JSON uses a stable key order.
 
 Exit codes (every non-zero one comes with a message on stderr): 0 on
@@ -28,7 +30,7 @@ from .errors import ConsistencyError, MathematicalAssumptionError
 from .families import (gram_schmidt, legendre, sobolev_four_term,
                        sobolev_higher, sobolev_three_term)
 from .grid import count_sign_changes, restrict_edge
-from .inner import L2, SobolevParams, gram_matrix
+from .inner import L2, SobolevParams, basis_indices, gram_matrix
 from .interp import (degenerate_spine_nodes, det_and_condition,
                      interpolation_matrix, quadrature_error_study,
                      quadrature_weights, spine_nodes, v1_nodes)
@@ -103,6 +105,31 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+# -- JSON payloads of exact values: rationals as rat_str, keys in a fixed order
+
+def _params_json(params: SobolevParams) -> dict:
+    return {"m": params.order, "chi": [rat_str(c) for c in params.chi]}
+
+
+def _poly_json(p: Poly) -> dict:
+    return {f"({j},{k})": rat_str(c) for (j, k), c in sorted(p.coeffs.items())}
+
+
+def _matrix_json(basis, entries) -> dict:
+    return {"basis": [[j, k] for j, k in basis],
+            "entries": [[rat_str(x) for x in row] for row in entries]}
+
+
+def _family_json(fam) -> dict:
+    """The family, with each recurrence table keyed "n" or "n,l"."""
+    rec = {name: {(",".join(map(str, k)) if isinstance(k, tuple) else str(k)):
+                  rat_str(v) for k, v in sorted(table.items())}
+           for name, table in fam.recurrence.items()}
+    return {"family": fam.family, "params": _params_json(fam.params),
+            "method": fam.method, "polys": [_poly_json(p) for p in fam.polys],
+            "norms_sq": [rat_str(v) for v in fam.norms_sq], "recurrence": rec}
+
+
 def _params_from_args(args) -> SobolevParams:
     order, chis = args.m, args.chi
     if order == 0:
@@ -164,15 +191,17 @@ def cmd_coeffs(args) -> int:
 def cmd_gram(args) -> int:
     params = _params_from_args(args)
     family = "mixed" if args.family == "mixed" else int(args.family)
-    gm = gram_matrix(params, family, args.maxdeg)
-    _write(args.out, _json(gm.to_json_dict()))
+    entries = gram_matrix(params, family, args.maxdeg)
+    _write(args.out, _json({"params": _params_json(params),
+                            **_matrix_json(basis_indices(family, args.maxdeg),
+                                           entries)}))
     return 0
 
 
 def cmd_ops(args) -> int:
     params = _params_from_args(args)
     fam = _build_family(args.family, params, args.degree, args.method)
-    _write(args.out, _json(fam.to_json_dict()))
+    _write(args.out, _json(_family_json(fam)))
     return 0
 
 
@@ -240,7 +269,9 @@ def cmd_interp(args) -> int:
     if condition is not None:
         payload["condition_inf"] = condition
     if args.matrix:
-        payload["matrix"] = matrix.to_json_dict()
+        payload["matrix"] = {"n": nodes.n,
+                             "nodes": [str(a) for a in nodes.nodes],
+                             **_matrix_json(basis_indices("mixed", nodes.n), matrix)}
     _write(args.out, _json(payload))
     return 0
 
@@ -250,7 +281,9 @@ def cmd_quad(args) -> int:
         raise UsageError(f"--m-max {args.m_max} is below --n {args.n}")
     rule = quadrature_weights(args.n)
     if args.study_degree is None:
-        _write(args.out, _json(rule.to_json_dict()))
+        _write(args.out, _json({"n": rule.n,
+                                "nodes": [str(a) for a in rule.nodes.nodes],
+                                "weights": [rat_str(w) for w in rule.weights]}))
         return 0
     f = Poly.monomial(args.study_degree, args.study_family)
     rows = quadrature_error_study(args.n, f, args.m_max)
@@ -266,6 +299,9 @@ def cmd_quad(args) -> int:
 
 def cmd_sweep_chi(args) -> int:
     rep = chi_asymptotics(args.family, args.n, args.chi_list)
+    rep["rows"] = [{key: rat_str(v) for key, v in row.items()} for row in rep["rows"]]
+    if "chi_b_tilde_limit" in rep:
+        rep["chi_b_tilde_limit"] = rat_str(rep["chi_b_tilde_limit"])
     _write(args.out, _json(rep))
     return 0
 

@@ -68,7 +68,7 @@ import threading
 from .errors import ConsistencyError, MathematicalAssumptionError
 from .inner import L2, SobolevParams, mono_inner_l2, poly_inner
 from .poly import Poly
-from .rationals import ZERO, rat_str
+from .rationals import ZERO
 
 
 class OPFamily:
@@ -100,19 +100,6 @@ class OPFamily:
                 if value != 0:
                     return i, j, value
         return None
-
-    def to_json_dict(self) -> dict:
-        rec = {name: {(",".join(map(str, k)) if isinstance(k, tuple) else str(k)):
-                      rat_str(v) for k, v in sorted(table.items())}
-               for name, table in self.recurrence.items()}
-        return {
-            "family": self.family,
-            "params": self.params.to_json_dict(),
-            "method": self.method,
-            "polys": [p.to_json_dict() for p in self.polys],
-            "norms_sq": [rat_str(v) for v in self.norms_sq],
-            "recurrence": rec,
-        }
 
 
 def _orthogonalize(params: SobolevParams, f: Poly, polys: list[Poly],

@@ -45,7 +45,8 @@ from .addresses import VertexAddress
 from .errors import ConsistencyError
 from .linalg import solve_exact
 from .poly import Poly
-from .rationals import ZERO, Rat, over_common_denominator, rat_decimal
+from .rationals import (ZERO, Rat, over_common_denominator, rat_decimal,
+                        ratio_decimal)
 
 
 def cell_words(m: int):
@@ -201,8 +202,8 @@ class FieldOnGrid:
             # y = r sqrt(3) / den, rounded to nearest (never a tie): 2 y scale
             # is sqrt(12 r^2 scale^2) / den, floored exactly by isqrt
             y = (isqrt(12 * (rs[i] * scale) ** 2) // den + 1) // 2
-            yield (addr, rat_decimal(Rat(xs[i], den), digits),
-                   rat_decimal(Rat(y, scale), digits),
+            yield (addr, ratio_decimal(xs[i], den, digits),
+                   ratio_decimal(y, scale, digits),
                    rat_decimal(self.values[i], digits))
 
 

@@ -32,7 +32,8 @@ D_f and D_g, so it converts nothing.  Each order r with chi_r != 0 sums
 x_a y_b L2(a - r, b - r) as an integer over the common denominator of its
 (cached) L2 values, so there is one rational reduction per Laplacian order
 and one final division by D_f D_g, instead of three Fraction operations per
-pair of terms.  mono_inner keeps the per-monomial form for Gram matrices.
+pair of terms.  mono_inner keeps the per-monomial form for Gram matrices;
+gram_matrix returns their exact entries, and the CLI renders them.
 
 `L2`, the SobolevParams with chi = (1,), is the one name of the plain L2
 product.
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from .coeffs import TABLE
 from .poly import Poly, _check_rational
-from .rationals import ONE, ZERO, Rat, over_common_denominator, rat_str
+from .rationals import ONE, ZERO, Rat, over_common_denominator
 
 Index = tuple[int, int]
 
@@ -130,9 +131,6 @@ class SobolevParams:
     def order1(chi) -> "SobolevParams":
         return SobolevParams((ONE, chi))
 
-    def to_json_dict(self) -> dict:
-        return {"m": self.order, "chi": [rat_str(c) for c in self.chi]}
-
 
 L2 = SobolevParams((ONE,))
 
@@ -179,28 +177,13 @@ def basis_indices(family, maxdeg: int) -> list[Index]:
     return [(j, family) for j in range(maxdeg + 1)]
 
 
-class GramMatrix:
-    def __init__(self, params: SobolevParams, basis: tuple[Index, ...],
-                 entries: tuple[tuple[object, ...], ...]):
-        self.params = params
-        self.basis = basis
-        self.entries = entries
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params.to_json_dict(),
-            "basis": [[j, k] for j, k in self.basis],
-            "entries": [[rat_str(x) for x in row] for row in self.entries],
-        }
-
-
-def gram_matrix(params: SobolevParams, family, maxdeg: int) -> GramMatrix:
-    """Dense matrix of mono_inner values over the fixed basis order."""
+def gram_matrix(params: SobolevParams, family, maxdeg: int) -> tuple:
+    """The exact Gram matrix of mono_inner values: a tuple of rows, with rows
+    and columns in the order of basis_indices(family, maxdeg)."""
     if maxdeg < 0:
         raise ValueError("maxdeg must be >= 0")
     basis = basis_indices(family, maxdeg)
     # mono_inner is symmetric: evaluate r <= c and mirror
     rows = [[mono_inner(params, a, b) for b in basis[r:]] for r, a in enumerate(basis)]
-    entries = tuple(tuple(rows[c][r - c] for c in range(r)) + tuple(rows[r])
-                    for r in range(len(basis)))
-    return GramMatrix(params=params, basis=tuple(basis), entries=entries)
+    return tuple(tuple(rows[c][r - c] for c in range(r)) + tuple(rows[r])
+                 for r in range(len(basis)))

@@ -10,7 +10,8 @@ does so whenever no beta_j vanishes (asserted for j <= 50): the scaling laws
 turn each family block into a scaled Vandermonde matrix in powers of 1/5.
 Every entry is exact (closed forms on the spine, elsewhere a value of the
 integer extension `grid.multiharmonic_extend`), so determinants and
-quadrature weights are exact.
+quadrature weights are exact.  interpolation_matrix returns the entries
+themselves, a list of rows of rationals; the CLI renders them.
 
 The order-n quadrature rule solves the moment system M^T w = integrals and is
 exact on all polynomials of degree <= n; the composite rule applies it to
@@ -31,7 +32,7 @@ from .grid import cell_words, multiharmonic_extend
 from .inner import basis_indices
 from .linalg import det_and_inverse, inf_norm, solve_exact
 from .poly import Poly
-from .rationals import Rat, ZERO, rat_str
+from .rationals import Rat, ZERO
 
 
 class NodeSet:
@@ -74,39 +75,23 @@ def eval_monomial_at(j: int, k: int, addr: VertexAddress):
     return multiharmonic_extend(mono.dirichlet_data(), addr.level).value_at(addr)
 
 
-class InterpolationMatrix:
-    """Node-by-monomial value matrix in the fixed mixed-basis column order."""
-
-    def __init__(self, node_set: NodeSet, entries: list):
-        self.node_set = node_set
-        self.entries = entries  # rows = nodes, cols = monomials, exact rationals
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.node_set.n,
-            "nodes": [str(a) for a in self.node_set.nodes],
-            "basis": [[j, k] for j, k in basis_indices("mixed", self.node_set.n)],
-            "entries": [[rat_str(x) for x in row] for row in self.entries],
-            "exact": [[True] * len(row) for row in self.entries],
-        }
-
-
-def interpolation_matrix(nodes: NodeSet) -> InterpolationMatrix:
+def interpolation_matrix(nodes: NodeSet) -> list:
+    """The exact node-by-monomial value matrix: one row per node, one column
+    per monomial of basis_indices("mixed", nodes.n)."""
     basis = basis_indices("mixed", nodes.n)
     if len(nodes.nodes) != len(basis):
         raise ValueError(f"need {len(basis)} nodes for degree {nodes.n}")
-    entries = [[eval_monomial_at(j, k, addr) for (j, k) in basis]
-               for addr in nodes.nodes]
-    return InterpolationMatrix(node_set=nodes, entries=entries)
+    return [[eval_monomial_at(j, k, addr) for (j, k) in basis]
+            for addr in nodes.nodes]
 
 
-def det_and_condition(matrix: InterpolationMatrix) -> tuple:
+def det_and_condition(matrix: list) -> tuple:
     """(det, infinity-norm condition number) from one elimination; the
     condition number (report only) is None when the matrix is singular."""
-    det, inverse = det_and_inverse(matrix.entries)
+    det, inverse = det_and_inverse(matrix)
     if inverse is None:
         return det, None
-    return det, float(inf_norm(matrix.entries) * inf_norm(inverse))
+    return det, float(inf_norm(matrix) * inf_norm(inverse))
 
 
 class QuadratureRule:
@@ -120,11 +105,6 @@ class QuadratureRule:
     def apply(self, values) -> object:
         return sum((w * v for w, v in zip(self.weights, values)), ZERO)
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n,
-                "nodes": [str(a) for a in self.nodes.nodes],
-                "weights": [rat_str(w) for w in self.weights]}
-
 
 def quadrature_weights(n: int) -> QuadratureRule:
     """Solve the exact moment system on the spine nodes.
@@ -137,11 +117,11 @@ def quadrature_weights(n: int) -> QuadratureRule:
     basis = basis_indices("mixed", n)
     moments = [TABLE.integral(j, k) for (j, k) in basis]
     try:
-        weights = solve_exact(list(zip(*matrix.entries)), moments)
+        weights = solve_exact(list(zip(*matrix)), moments)
     except ValueError:
         raise ConsistencyError("spine interpolation matrix is singular") from None
     for col, (j, k) in enumerate(basis):
-        residual = sum((weights[r] * matrix.entries[r][col]
+        residual = sum((weights[r] * matrix[r][col]
                         for r in range(len(basis))), ZERO) - moments[col]
         if residual != 0:
             raise ConsistencyError("quadrature exactness residual is nonzero")

@@ -15,7 +15,7 @@ one residual.  Steps with t < m add nothing, since Lap^m p_t = 0.
 
 chi_asymptotics quantifies the O(1/chi) convergence of s_n(., chi) toward its
 weight-independent limit, entirely in exact rational arithmetic (squared L2
-errors and their ratios).
+errors and their ratios), and returns those rationals; the CLI renders them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .families import (OPFamily, green_seq, legendre, recurrence_steps,
                        sobolev_three_term, step_weights)
 from .inner import L2, poly_inner
 from .poly import Poly
-from .rationals import rat_str
 
 
 def ode_residual(fam: OPFamily) -> list[Poly]:
@@ -75,7 +74,7 @@ def chi_asymptotics(family: int, n: int, chis) -> dict:
     """Exact decay study of |s_n(., chi) - limit|_2^2 over a list of weights.
 
     Also reports chi * b~_n against its limit |p_n|_2^2 / |p_{n-2}|_2^2.
-    All entries are exact rationals rendered as strings.
+    Every number in the report is an exact rational.
     """
     limit, limit_name = chi_limit_poly(family, n)
     leg = legendre(family, max(n, 2))
@@ -85,15 +84,16 @@ def chi_asymptotics(family: int, n: int, chis) -> dict:
         sob = sobolev_three_term(family, chi, max(n + 1, 2))
         err = sob.polys[n] - limit
         err_sq = poly_inner(L2, err, err)
-        row = {"chi": rat_str(chi), "err_sq": rat_str(err_sq)}
+        # the weight as the family stored it: a Fraction even for an int chi
+        row = {"chi": sob.params.chi[1], "err_sq": err_sq}
         if prev_err not in (None, 0) and err_sq != 0:
-            row["ratio_sq_prev"] = rat_str(prev_err / err_sq)
+            row["ratio_sq_prev"] = prev_err / err_sq
         b_tilde = sob.recurrence["b_tilde"].get(n)
         if b_tilde is not None:
-            row["chi_b_tilde"] = rat_str(chi * b_tilde)
+            row["chi_b_tilde"] = chi * b_tilde
         rows.append(row)
         prev_err = err_sq
     out = {"family": family, "n": n, "limit": limit_name, "rows": rows}
     if n >= 2:
-        out["chi_b_tilde_limit"] = rat_str(leg.norms_sq[n] / leg.norms_sq[n - 2])
+        out["chi_b_tilde_limit"] = leg.norms_sq[n] / leg.norms_sq[n - 2]
     return out

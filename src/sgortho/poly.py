@@ -229,11 +229,7 @@ class Poly:
             return Rat(sign, 5 ** ((j + 1) * m)) * TABLE.gamma(j)
         return self.linear_form(weight)
 
-    # -- serialization ------------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {f"({j},{k})": rat_str(c)
-                for (j, k), c in sorted(self.coeffs.items())}
+    # -- display ----------------------------------------------------------------
 
     def __repr__(self) -> str:
         if not self.nums:

@@ -65,7 +65,13 @@ def rat_decimal(value, digits: int) -> str:
     Rendering is the only lossy step anywhere.  `digits` has no default:
     every caller names it (the CLI's --digits, or 4 for a ratio column).
     """
-    n, d = value.numerator, value.denominator
+    return ratio_decimal(value.numerator, value.denominator, digits)
+
+
+def ratio_decimal(n: int, d: int, digits: int) -> str:
+    """`rat_decimal` of n/d for ints n and d > 0, not necessarily coprime:
+    scaling n and d alike scales the remainder too, so the half-even
+    rounding is that of the reduced fraction."""
     sign = "-" if n < 0 else ""
     n = abs(n)
     scaled = n * 10**digits

@@ -1,14 +1,19 @@
 """Command-line interface: formats, determinism, exit codes."""
 
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+import sgortho
 from sgortho import cli, linalg
 from sgortho.errors import ConsistencyError, MathematicalAssumptionError
-from sgortho.rationals import Rat
+from sgortho.odes import chi_asymptotics
+from sgortho.rationals import Rat, rat_str
 
 
 def run_cli(args, **kwargs):
@@ -148,6 +153,33 @@ def test_sweep_chi(capsys):
     assert payload["limit"] == "f_3"
     assert len(payload["rows"]) == 2
     assert "ratio_sq_prev" in payload["rows"][1]
+
+
+def test_sweep_chi_renders_the_exact_report(capsys):
+    rep = chi_asymptotics(3, 2, [Fraction(1, 2), 100])
+    numbers = [v for row in rep["rows"] for v in row.values()]
+    assert all(type(v) is Fraction for v in numbers + [rep["chi_b_tilde_limit"]])
+    assert "ratio_sq_prev" in rep["rows"][1] and "chi_b_tilde" in rep["rows"][0]
+    assert cli.main(["sweep-chi", "--family", "3", "--n", "2",
+                     "--chi-list", "1/2,100"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["family", "n", "limit", "rows", "chi_b_tilde_limit"]
+    assert payload == {
+        "family": 3, "n": 2, "limit": rep["limit"],
+        "rows": [{key: rat_str(v) for key, v in row.items()} for row in rep["rows"]],
+        "chi_b_tilde_limit": rat_str(rep["chi_b_tilde_limit"])}
+
+
+def test_only_the_cli_renders_output():
+    modules = [importlib.import_module(f"sgortho.{info.name}")
+               for info in pkgutil.iter_modules(sgortho.__path__)]
+    for module in modules:
+        classes = [v for v in vars(module).values() if isinstance(v, type)]
+        assert not any("to_json_dict" in vars(c) for c in classes), module
+        if module is not cli:
+            assert "json" not in vars(module), module
+    for name in ("families", "inner", "interp", "odes"):
+        assert "rat_str" not in vars(importlib.import_module(f"sgortho.{name}")), name
 
 
 def test_determinism_byte_identical():

@@ -1,10 +1,11 @@
 """Orthogonal family construction: Gram-Schmidt, recurrences, norm estimates."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
 
-from sgortho import families, poly
+from sgortho import cli, families, poly
 from sgortho.coeffs import TABLE
 from sgortho.errors import ConsistencyError, MathematicalAssumptionError
 from sgortho.families import (associated_family, corner_normal_of_green_image,
@@ -327,7 +328,7 @@ def test_short_recurrence_families_name_every_table(family, params, names):
     for maxdeg in range(params.order + 3):
         fam = _build(family, params, maxdeg)
         assert list(fam.recurrence) == names, maxdeg
-        assert list(fam.to_json_dict()["recurrence"]) == names, maxdeg
+        assert list(cli._family_json(fam)["recurrence"]) == names, maxdeg
 
 
 def test_higher_recurrence_uses_2m_trailing_terms():
@@ -442,10 +443,10 @@ def test_z_coefficient_recursion():
             assert z == w + a_n * rec.norms_sq[n] / leg.norms_sq[n]
 
 
-def test_family_json_roundtrip_shape():
-    rec = sobolev_three_term(3, 1, 3)
-    payload = rec.to_json_dict()
-    assert payload["family"] == 3
+def test_family_json_roundtrip_shape(capsys):
+    assert cli.main(["ops", "--family", "3", "--chi", "1", "--degree", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["family"] == 3 and payload["method"] == "three-term"
     assert payload["params"]["m"] == 1
     assert len(payload["polys"]) == 4
     assert payload["polys"][0] == {"(0,3)": "1"}

@@ -1,14 +1,16 @@
 """Inner products: frozen values, symmetry, shift structure, Gram matrices."""
 
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from sgortho import cli
 from sgortho.coeffs import TABLE
 from sgortho.families import sobolev_three_term
-from sgortho.inner import (L2, SobolevParams, _l2_cache, gram_matrix, mono_inner,
-                           mono_inner_l2, poly_inner)
+from sgortho.inner import (L2, SobolevParams, _l2_cache, basis_indices,
+                           gram_matrix, mono_inner, mono_inner_l2, poly_inner)
 from sgortho.linalg import bareiss_det
 from sgortho.odes import chi_asymptotics
 from sgortho.poly import Poly
@@ -182,44 +184,45 @@ def test_integer_weights_are_stored_as_fractions():
     params = SobolevParams([1, 2, 0])
     assert params.chi == (F(1), F(2), F(0)) and params.order == 2
     assert all(type(c) is F for c in params.chi)
-    assert params.to_json_dict() == {"m": 2, "chi": ["1", "2", "0"]}
+    assert cli._params_json(params) == {"m": 2, "chi": ["1", "2", "0"]}
     # params key the Gram-Schmidt memo: equal weights, equal key
     assert SobolevParams([1, 1]) == SobolevParams.order1(1)
     assert hash(SobolevParams([1, 1])) == hash(SobolevParams.order1(1))
-    assert chi_asymptotics(3, 3, [1000])["rows"][0]["chi"] == "1000"
+    chi = chi_asymptotics(3, 3, [1000])["rows"][0]["chi"]
+    assert type(chi) is F and chi == 1000
 
 
 def test_gram_matrix_shapes_and_symmetry():
     gm = gram_matrix(S1, 3, 4)
-    assert gm.basis == tuple((j, 3) for j in range(5))
+    assert basis_indices(3, 4) == [(j, 3) for j in range(5)]
+    assert len(gm) == 5 and all(len(row) == 5 for row in gm)
     for r in range(5):
         for c in range(5):
-            assert gm.entries[r][c] == gm.entries[c][r]
+            assert gm[r][c] == gm[c][r]
     mixed = gram_matrix(L2, "mixed", 1)
-    assert mixed.basis == ((0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3))
-    for r, (j, k) in enumerate(mixed.basis):
-        for c, (jp, kp) in enumerate(mixed.basis):
+    basis = basis_indices("mixed", 1)
+    assert basis == [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)]
+    assert len(mixed) == 6 and all(len(row) == 6 for row in mixed)
+    for r, (j, k) in enumerate(basis):
+        for c, (jp, kp) in enumerate(basis):
             if {k, kp} in ({1, 3}, {2, 3}):
-                assert mixed.entries[r][c] == 0
+                assert mixed[r][c] == 0
 
 
 def test_gram_matrix_single_entry_family3():
-    gm = gram_matrix(L2, 3, 0)
-    assert gm.entries == ((F(1, 30),),)
+    assert gram_matrix(L2, 3, 0) == ((F(1, 30),),)
 
 
 @pytest.mark.parametrize("family", [1, 2, 3])
 def test_gram_positive_definite_leading_minors(family):
-    gm = gram_matrix(S1, family, 10)
-    rows = [list(r) for r in gm.entries]
+    rows = [list(r) for r in gram_matrix(S1, family, 10)]
     for size in range(1, 12):
         sub = [row[:size] for row in rows[:size]]
         assert bareiss_det(sub) > 0
 
 
 def test_gram_mixed_positive_definite():
-    gm = gram_matrix(S1, "mixed", 3)
-    rows = [list(r) for r in gm.entries]
+    rows = [list(r) for r in gram_matrix(S1, "mixed", 3)]
     for size in range(1, len(rows) + 1):
         sub = [row[:size] for row in rows[:size]]
         assert bareiss_det(sub) > 0
@@ -228,17 +231,18 @@ def test_gram_mixed_positive_definite():
 def test_sobolev_gram_is_weighted_shift_of_l2_gram():
     params = SobolevParams([1, F(2, 3)])
     gm = gram_matrix(params, 2, 5)
-    for r, (j, _) in enumerate(gm.basis):
-        for c, (k, _) in enumerate(gm.basis):
+    basis = basis_indices(2, 5)
+    for r, (j, _) in enumerate(basis):
+        for c, (k, _) in enumerate(basis):
             expected = mono_inner_l2((j, 2), (k, 2))
             if j >= 1 and k >= 1:
                 expected += F(2, 3) * mono_inner_l2((j - 1, 2), (k - 1, 2))
-            assert gm.entries[r][c] == expected
+            assert gm[r][c] == expected
 
 
-def test_gram_json_shape():
-    gm = gram_matrix(L2, 3, 1)
-    payload = gm.to_json_dict()
+def test_gram_json_shape(capsys):
+    assert cli.main(["gram", "--family", "3", "--maxdeg", "1", "--m", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["basis"] == [[0, 3], [1, 3]]
     assert payload["entries"][0][0] == "1/30"
     assert payload["params"]["chi"] == ["1"]

@@ -1,5 +1,6 @@
 """Interpolation node sets, determinants, quadrature rules and error orders."""
 
+import json
 import random
 from fractions import Fraction as F
 from functools import cache
@@ -14,7 +15,7 @@ from sgortho.interp import (NodeSet, composite_quadrature,
                             eval_monomial_at, interpolation_matrix, node_depth,
                             quadrature_error_study, quadrature_weights,
                             spine_nodes, v1_nodes)
-from sgortho import interp
+from sgortho import cli, interp
 from sgortho.errors import ConsistencyError
 from sgortho.linalg import (_eliminate, bareiss_det, det_and_inverse, inverse_exact,
                             solve_exact)
@@ -44,17 +45,18 @@ def test_duplicate_nodes_rejected_and_singular():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_spine_matrix_exact_and_invertible(n):
-    matrix = interpolation_matrix(spine_nodes(n))
-    for addr, row in zip(matrix.node_set.nodes, matrix.entries):
+    nodes = spine_nodes(n)
+    matrix = interpolation_matrix(nodes)
+    assert len(matrix) == len(nodes.nodes)
+    for addr, row in zip(nodes.nodes, matrix):
         assert row == [Poly.monomial(j, k).eval_spine(addr.level, addr.corner)
                        for j in range(n + 1) for k in (1, 2, 3)]
-    assert bareiss_det(matrix.entries) != 0
+    assert bareiss_det(matrix) != 0
 
 
 def test_degenerate_spine_nodes_singular():
     for n in (1, 2):
-        matrix = interpolation_matrix(degenerate_spine_nodes(n))
-        assert bareiss_det(matrix.entries) == 0
+        assert bareiss_det(interpolation_matrix(degenerate_spine_nodes(n))) == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -81,9 +83,9 @@ def test_v1_matrix_exact_value_and_condition():
     addr = VertexAddress.make((1,), 2)
     for col, k in enumerate((1, 2, 3)):
         field = eval_poly_grid(Poly.monomial(1, k), 1, 1)
-        assert matrix.entries[-1][3 + col] == field.value_at(addr)
+        assert matrix[-1][3 + col] == field.value_at(addr)
     det, condition = det_and_condition(matrix)
-    assert det == bareiss_det(matrix.entries)
+    assert det == bareiss_det(matrix)
     assert abs(det) > F(1, 10**8)
     assert condition > 1
 
@@ -99,11 +101,12 @@ def test_exact_value_at_non_spine_vertex():
     assert (5 * fine - coarse) / 4 == value
 
 
-def test_quadrature_rule_order0():
+def test_quadrature_rule_order0(capsys):
     rule = quadrature_weights(0)
     assert list(rule.weights) == [F(0), F(5, 6), F(1, 6)]
-    assert rule.to_json_dict() == {"n": 0, "nodes": ["e.1", "0.1", "e.2"],
-                                   "weights": ["0", "5/6", "1/6"]}
+    assert cli.main(["quad", "--n", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "n": 0, "nodes": ["e.1", "0.1", "e.2"], "weights": ["0", "5/6", "1/6"]}
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
@@ -342,7 +345,7 @@ def test_kernel_several_right_hand_sides():
 
 @pytest.mark.parametrize("n", range(6))
 def test_inverse_of_spine_matrix(n):
-    entries = interpolation_matrix(spine_nodes(n)).entries
+    entries = interpolation_matrix(spine_nodes(n))
     assert matmul(inverse_exact(entries), entries) == identity(len(entries))
 
 

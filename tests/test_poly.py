@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from sgortho import cli
 from sgortho.coeffs import TABLE
 from sgortho.poly import Poly
 
@@ -95,7 +96,7 @@ def test_spine_rejections():
 
 def test_json_dict_sorted_keys():
     p = Poly({(1, 2): F(1, 3), (0, 1): F(-2)})
-    assert p.to_json_dict() == {"(0,1)": "-2", "(1,2)": "1/3"}
+    assert cli._poly_json(p) == {"(0,1)": "-2", "(1,2)": "1/3"}
 
 
 # -- the integer form against the Fraction-dict arithmetic it replaced --------

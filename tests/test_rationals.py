@@ -2,9 +2,11 @@
 
 from fractions import Fraction as F
 
+import random
+
 import pytest
 
-from sgortho.rationals import Rat, rat_decimal, rat_from_str, rat_str
+from sgortho.rationals import Rat, rat_decimal, rat_from_str, rat_str, ratio_decimal
 
 
 def test_parse_and_str():
@@ -32,3 +34,15 @@ def test_decimal_rendering():
     assert rat_decimal(Rat(1, 8), 2) == "0.12"
     assert rat_decimal(Rat(3, 8), 2) == "0.38"
     assert rat_decimal(Rat(5), 3) == "5.000"
+
+
+def test_unreduced_ratio_rounds_as_the_reduced_fraction():
+    # ties included: 3/8 at 2 digits is a tie whatever common factor it carries
+    rng = random.Random(5)
+    cases = [(3, 8, 2), (1, 2, 0), (-5, 2, 0), (0, 7, 3), (7, 1, 0)]
+    cases += [(rng.randint(-10**6, 10**6), rng.randint(1, 10**4), rng.randint(0, 8))
+              for _ in range(300)]
+    for n, d, digits in cases:
+        expected = rat_decimal(F(n, d), digits)
+        for k in (1, 2, 10, 2**40 + 3):
+            assert ratio_decimal(n * k, d * k, digits) == expected, (n, d, digits, k)
