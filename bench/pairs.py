@@ -82,7 +82,10 @@ def digest_commands() -> list[str]:
     degree 2 and three-term at degree 0), and the payloads the CLI renders
     from exact values that no other command reaches (the corrected n = 2
     large-weight limit, a sweep with zero errors, no ratio and no limit key,
-    and a single-family Gram matrix with L2 weights)."""
+    and a single-family Gram matrix with L2 weights), and the edge paths of
+    the depth-first grid walk (an eval eight levels deep, deeper than any
+    other, the corners alone at level 0, and --digits 0), and the spine node
+    set at n = 0, where it is not singular."""
     out = [req.key for w in WORKLOADS for req in workloads.requests(w, 0)]
     out += [f"ops --family {k} --degree 16" for k in (1, 2, 3)]
     out += [f"ops --family {k} --m {m} --degree 12 --method gram-schmidt"
@@ -117,6 +120,10 @@ def digest_commands() -> list[str]:
     out += ["sweep-chi --family 3 --n 2 --chi-list 1/2,100",
             "sweep-chi --family 2 --n 1 --chi-list 3,30",
             "gram --family 2 --maxdeg 4 --m 0"]
+    out += ["eval --family 3 --degree 5 --level 8 --which legendre",
+            "eval --family 1 --degree 2 --level 0",
+            "eval --family 2 --degree 3 --level 3 --digits 0",
+            "interp --nodes degenerate --n 0"]
     return list(dict.fromkeys(out))
 
 

@@ -69,16 +69,18 @@ class UsageError(Exception):
     """Flags that parse one by one but do not fit together."""
 
 
-def _write(out_path: str | None, text: str) -> None:
+def _write(out_path: str | None, text) -> None:
+    """Write a string, or an iterable of lines as they come."""
+    lines = [text] if isinstance(text, str) else text
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                fh.writelines(lines)
         except OSError as exc:
             raise UsageError(f"cannot write --out {out_path}: "
                              f"{exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _check_out(out_path: str | None) -> None:
@@ -95,10 +97,10 @@ def _check_out(out_path: str | None) -> None:
     raise UsageError(f"cannot write --out {out_path}: {os.strerror(reason)}")
 
 
-def _csv(rows, header) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(str(c) for c in row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv(rows, header):
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(map(str, row)) + "\n"
 
 
 def _json(payload) -> str:
@@ -221,8 +223,9 @@ def cmd_eval(args) -> int:
     solve_level = _solve_level(args)
     field = eval_poly_grid(_selected_poly(args.which, params, args),
                            args.level, solve_level)
-    rows = list(field.csv_rows(args.digits))
-    _write(args.out, _csv(rows, ("address", "x", "y", "value")))
+    # the values are exact before --out is opened; only the rendering streams
+    _write(args.out, _csv(field.csv_rows(args.digits),
+                          ("address", "x", "y", "value")))
     return 0
 
 
@@ -269,9 +272,7 @@ def cmd_interp(args) -> int:
     if condition is not None:
         payload["condition_inf"] = condition
     if args.matrix:
-        payload["matrix"] = {"n": nodes.n,
-                             "nodes": [str(a) for a in nodes.nodes],
-                             **_matrix_json(basis_indices("mixed", nodes.n), matrix)}
+        payload["matrix"] = _matrix_json(basis_indices("mixed", nodes.n), matrix)
     _write(args.out, _json(payload))
     return 0
 

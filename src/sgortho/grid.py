@@ -14,30 +14,26 @@ them under a lock; they are plain ints.  Vertex i of a level-m field is
 `values[i]`, and restricting a field to a coarser level is taking a prefix.
 Addresses and planar coordinates are made only on demand: for a lookup
 (`FieldOnGrid.value_at`), a load callback (`LevelGrid.vertices`) or the
-rendering (`FieldOnGrid.csv_rows`, in address order).
+walk (`_walk`, in address order).
 
 Exact polynomial values.  A polynomial u of degree J is fixed by its
 iterated Laplacian data Lap^t u (t <= J) at the three corners, and the
 exact midpoint rule (`midpoint_weights`) gives the data at each midpoint of
 a level-l cell from the data at its corners, with the pairs (w_s, v_s)
-scaled by 5^(-s l).  One descent kernel, `_descend`, applies a midpoint rule
-level by level to layered corner data; `multiharmonic_extend` gives it this
-exact rule, and `solver.eval_poly_grid` the collocation rule of each cell
+scaled by 5^(-s l).  One walk, `_walk`, applies a midpoint rule cell by
+cell, depth first in address order, and yields each vertex with its index,
+address, position and value.  `multiharmonic_extend` runs it with this
+exact rule, `solver.eval_poly_grid` with the collocation rule of each cell
 depth (the scaled layers and the depth recursion are in the solver's module
-docstring).  Integer form.  The kernel keeps every vertex's layers as ints
-over one running denominator D, starting from the corner data over their
-lcm.  At level l the rule comes over one denominator d_l; the midpoints
-are computed from the unscaled corner ints, so they are over D d_l, and
-the prefix [0, n_l) is then multiplied by d_l and D by d_l.  The last
-level computes layer 0 only.  Nothing is reduced until the level-m values
-become rationals, one reduction each.  Planar coordinates are dyadic ints; y
-carries a factor sqrt(3) and is rendered, correctly rounded, by `isqrt`.
+docstring), and `FieldOnGrid.csv_rows` with no layers.  Planar coordinates
+are dyadic ints; y carries a factor sqrt(3) and is rendered, correctly
+rounded, by `isqrt`.
 """
 
 from __future__ import annotations
 
 import threading
-from itertools import product
+from itertools import accumulate, product
 from math import isqrt
 from operator import add, mul
 
@@ -119,41 +115,6 @@ def build_grid(m: int) -> LevelGrid:
     return LevelGrid(m)
 
 
-def _coordinates(m: int) -> tuple[list[int], list[int]]:
-    """Planar positions (x, r) of the level-m vertices as ints over 2^(m+1),
-    with y = r*sqrt(3): each midpoint is the mean of its two corners."""
-    h = 2**m
-    xs, rs = [h, 0, 2 * h], [h, 0, 0]
-    for level in range(m):
-        for a0, a1, a2 in _corner_table(level):
-            for p, q in ((a0, a1), (a0, a2), (a1, a2)):
-                xs.append((xs[p] + xs[q]) // 2)
-                rs.append((rs[p] + rs[q]) // 2)
-    return xs, rs
-
-
-def _address_order(m: int) -> list[tuple[int, str]]:
-    """(vertex index, address) of the level-m vertices in address order.
-
-    A preorder walk of the words, each word's corners in order: the word
-    p+(a,) carries the canonical addresses with corners c > a, which are the
-    (a, c) midpoints n_{|p|} + 3 index(p) + a + c - 1 of cell p.
-    """
-    rows = [(c, f"e.{c}") for c in (0, 1, 2)]
-
-    def visit(word: str, j: int, level: int) -> None:
-        first = _vertex_count(level) + 3 * j
-        for a in (0, 1, 2):
-            child = word + str(a)
-            rows.extend((first + a + c - 1, f"{child}.{c}") for c in range(a + 1, 3))
-            if level + 1 < m:
-                visit(child, 3 * j + a, level + 1)
-
-    if m:
-        visit("", 0, 0)
-    return rows
-
-
 class FieldOnGrid:
     """Exact rational values attached to every vertex of a level grid.
 
@@ -195,14 +156,13 @@ class FieldOnGrid:
         decimal rendering to `digits` fractional digits (no default: `eval`
         passes its --digits)."""
         m = self.grid.m
-        xs, rs = _coordinates(m)
         den = 2 ** (m + 1)
         scale = 10**digits
-        for i, addr in _address_order(m):
+        for i, addr, x, r, _ in _walk(((), (), ()), m, _exact_rule):
             # y = r sqrt(3) / den, rounded to nearest (never a tie): 2 y scale
             # is sqrt(12 r^2 scale^2) / den, floored exactly by isqrt
-            y = (isqrt(12 * (rs[i] * scale) ** 2) // den + 1) // 2
-            yield (addr, ratio_decimal(xs[i], den, digits),
+            y = (isqrt(12 * (r * scale) ** 2) // den + 1) // 2
+            yield (addr, ratio_decimal(x, den, digits),
                    ratio_decimal(y, scale, digits),
                    rat_decimal(self.values[i], digits))
 
@@ -240,32 +200,67 @@ def midpoint_weights(s: int) -> tuple:
         return _weights[s]
 
 
-def _descend(data, m: int, rule) -> FieldOnGrid:
-    """Layer 0 on the level-m grid of layered corner data, level by level.
+def _walk(data, m: int, rule):
+    """Every level-m vertex as (index, address, x, r, value), in address order.
 
-    `data` = (L_q0, L_q1, L_q2) lists layers 0..J at each corner.  At level
-    l, `rule(l, J + 1)` = (d, ws, vs) gives layer t at the midpoint of
-    corners a, b (c opposite) of every level-l cell as
-    sum_r (ws[r] (a + b)[t + r] + vs[r] c[t + r]) / d.  The last level needs
-    layer 0 only, so only layer 0 is computed there.
+    `data` = (L_q0, L_q1, L_q2) lists layers 0..J at each corner.  The cells
+    are visited depth first in word order, the cell p+(a,) right after its
+    canonical addresses p+(a,).c with c > a, the (a, c) midpoints of cell p.
+    At level l, `rule(l, J + 1)` = (d_l, ws, vs) gives layer t at the
+    midpoint of corners a, b (c opposite) of a level-l cell as
+    sum_r (ws[r] (a + b)[t + r] + vs[r] c[t + r]) / d_l.  Layers are ints
+    over one denominator per level, D_0 the lcm of the corner data and
+    D_{l+1} = D_l d_l: a level-l cell makes its midpoints over D_{l+1} and
+    scales each corner it hands to a child by d_l.  The last level computes
+    layer 0 only; each value is one rational, or None when J = -1 (no
+    layers: addresses and positions only).  Positions (x, r) are ints over
+    2^(m+1) with y = r sqrt(3).  The stack holds three cells per level.
     """
     size = len(data[0])
     den, ints = over_common_denominator(x for lap in data for x in lap)
-    # laps[i][t] / den is layer t at vertex i
-    laps = [ints[i:i + size] for i in range(0, len(ints), size)]
-    for level in range(m):
-        d, ws, vs = rule(level, size)
-        layers = 1 if level == m - 1 else size
-        for a0, a1, a2 in _corner_table(level):
-            x0, x1, x2 = laps[a0], laps[a1], laps[a2]
-            for a, b, c in ((x0, x1, x2), (x0, x2, x1), (x1, x2, x0)):
-                ab = list(map(add, a, b))
-                laps.append([sum(map(mul, ws, ab[t:])) + sum(map(mul, vs, c[t:]))
-                             for t in range(layers)])
-        n = _vertex_count(level)
-        laps[:n] = [[d * x for x in lap[:layers]] for lap in laps[:n]]
-        den *= d
-    return FieldOnGrid(build_grid(m), [Rat(lap[0], den) for lap in laps])
+    rules = [rule(level, size) for level in range(m)]
+    dens = list(accumulate((d for d, _, _ in rules), mul, initial=den))
+    h = 2**m
+    corners = [(ints[c * size:(c + 1) * size], x, r)
+               for c, x, r in ((0, h, h), (1, 0, 0), (2, 2 * h, 0))]
+    for c, (lap, x, r) in enumerate(corners):
+        yield c, f"e.{c}", x, r, Rat(lap[0], den) if size else None
+    stack = [("", 0, 0, corners, None)] if m else []
+    while stack:
+        word, j, level, cell, row = stack.pop()
+        if row:
+            yield row
+        d, ws, vs = rules[level]
+        last = level == m - 1
+        layers = min(size, 1) if last else size
+        first = _vertex_count(level) + 3 * j - 1
+        mids = []
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            (a, xa, ra), (b, xb, rb), c = cell[p], cell[q], cell[3 - p - q][0]
+            ab = list(map(add, a, b))
+            lap = [sum(map(mul, ws, ab[t:])) + sum(map(mul, vs, c[t:]))
+                   for t in range(layers)]
+            x, r = (xa + xb) // 2, (ra + rb) // 2
+            mids.append((lap, x, r))
+            row = (first + p + q, f"{word}{p}.{q}", x, r,
+                   Rat(lap[0], dens[level + 1]) if lap else None)
+            if last or p == 0:
+                yield row
+        if not last:  # the (1, 2) midpoint `row` follows the subtree of child 0
+            v0, v1, v2 = (([d * t for t in lap], x, r) for lap, x, r in cell)
+            m01, m02, m12 = mids
+            level += 1
+            stack += ((word + "2", 3 * j + 2, level, (m02, m12, v2), None),
+                      (word + "1", 3 * j + 1, level, (m01, v1, m12), row),
+                      (word + "0", 3 * j, level, (v0, m01, m02), None))
+
+
+def _descend(data, m: int, rule) -> FieldOnGrid:
+    """The level-m field of the walk's values, written by vertex index."""
+    values = [None] * _vertex_count(m)
+    for i, _, _, _, value in _walk(data, m, rule):
+        values[i] = value
+    return FieldOnGrid(build_grid(m), values)
 
 
 def _exact_rule(level: int, size: int) -> tuple:

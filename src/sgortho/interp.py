@@ -53,7 +53,8 @@ def spine_nodes(n: int) -> NodeSet:
 
 
 def degenerate_spine_nodes(n: int) -> NodeSet:
-    """All 3n+3 nodes on the q1 spine; the interpolation matrix is singular."""
+    """All 3n+3 nodes on the q1 spine.  There P_{j,3} = 3 P_{j+1,1}, so the
+    interpolation matrix is singular exactly when n >= 1."""
     return NodeSet(nodes=tuple(spine_address(i, 1) for i in range(3 * n + 3)), n=n)
 
 

@@ -47,9 +47,9 @@ equations times (5/3)^d) and adds
 
     sum_r S_r a_{t+1+r} + T_r (b + c)_{t+1+r}
 
-to the load of corner a.  So the level-m values follow from a descent over
-V_m alone, the kernel `grid._descend` that `multiharmonic_extend` runs with
-the exact rule; here it runs with the depth-(L - n) rule at level n.
+to the load of corner a.  So the level-m values follow from a walk over
+V_m alone, `grid._walk`, which `multiharmonic_extend` runs with the exact
+rule; here it runs with the depth-(L - n) rule at level n.
 
 Depth recursion.  Write each rule as a series in q, the layer offset
 (W = sum_r W_r q^r), starting from S = T = 0 at depth 0.  A depth-d cell is
@@ -82,7 +82,7 @@ and V_r divide 2^r 5^(r+1), and those of S_r and T_r 3^d 2^r 5^(r+1) (the
 tests compare the recursion with Fraction arithmetic to depth 10 and order
 8 and run it to depth 30 and order 30); a remainder raises
 ConsistencyError.  The rules are memoized per depth and extended in r.
-They cost O(L J^2) int operations and the descent O(3^m J^2) for output
+They cost O(L J^2) int operations and the walk O(3^m J^2) for output
 level m, so the solve level enters only through the rules.  The level-m
 values become rationals, one reduction each.  Repeated runs are
 bit-identical, and the only error against the continuous problem is the
@@ -204,7 +204,7 @@ def depth_rules(depth: int, size: int) -> tuple:
 
 
 def _collocation_rule(depth: int, size: int) -> tuple:
-    """The depth rule (W_r, V_r) as the descent takes it: (d, ws, vs) over
+    """The depth rule (W_r, V_r) as the walk takes it: (d, ws, vs) over
     one reduced denominator d."""
     w, v, _, _ = depth_rules(depth, size)
     den = 5 * 10 ** (size - 1)
@@ -219,7 +219,7 @@ def eval_poly_grid(f: Poly, m: int, solve_level: int | None = None) -> FieldOnGr
 
     The level-m values of the collocation chain at `solve_level` (default
     m + 2: the oversampled solution restricted to level m is markedly more
-    accurate), by the descent with the depth rules.  Harmonic polynomials
+    accurate), by the walk with the depth rules.  Harmonic polynomials
     come out exact; for higher degrees the values converge to the true ones
     as solve_level grows.
     """

@@ -118,6 +118,16 @@ def test_interp_report(capsys):
     assert "condition_inf" not in payload
 
 
+def test_interp_matrix_holds_only_basis_and_entries(capsys):
+    # the degree and the node addresses are the payload's "n" and
+    # "node_addresses"; the matrix does not repeat them
+    assert cli.main(["interp", "--nodes", "v1", "--n", "1", "--matrix"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload["matrix"]) == ["basis", "entries"]
+    assert len(payload["matrix"]["basis"]) == 6
+    assert len(payload["matrix"]["entries"]) == len(payload["node_addresses"]) == 6
+
+
 def test_interp_eliminates_matrix_once(capsys, monkeypatch):
     sizes = []
     eliminate = linalg._eliminate
@@ -275,6 +285,17 @@ def test_writable_out_is_created_only_by_the_write(tmp_path, monkeypatch):
                         lambda args: seen.append(path.exists()) or 0)
     assert cli.main(["verify", "--quick", "--out", str(path)]) == 0
     assert seen == [False] and not path.exists()
+
+
+@pytest.mark.parametrize("level", [0, 4])
+def test_eval_out_writes_the_stdout_bytes(tmp_path, level, capsysbinary):
+    args = ["eval", "--family", "2", "--degree", "3", "--level", str(level)]
+    assert cli.main(args) == 0
+    printed = capsysbinary.readouterr().out
+    path = tmp_path / "eval.csv"
+    assert cli.main([*args, "--out", str(path)]) == 0
+    assert path.read_bytes() == printed
+    assert printed.count(b"\n") == 1 + 3 * (3**level + 1) // 2
 
 
 @pytest.mark.parametrize("args", [

@@ -432,6 +432,30 @@ def test_limit_family_sym_is_large_chi_limit():
     assert errs[2] < F(1, 10**12)
 
 
+def _limit_errors(g, n):
+    """|s_n - g|_2^2 at chi = 10^5 and 10^7, with s_n the k=1 order-1
+    Gram-Schmidt member of degree n."""
+    errs = []
+    for chi in (10**5, 10**7):
+        diff = gram_schmidt(SobolevParams.order1(chi), 1, 6).polys[n] - g
+        errs.append(poly_inner(L2, diff, diff))
+    return errs
+
+
+def test_limit_family_sym_converges_like_chi_squared():
+    # criterion 8's bounds: the error falls about 10^4 per 100x in chi
+    gs = limit_family_sym(6)
+    for n in (0, 1):
+        assert _limit_errors(gs[n], n) == [0, 0]
+    for n in range(2, 7):
+        far, near = _limit_errors(gs[n], n)
+        assert 2500 <= far / near <= 40000, n
+    # moving one coefficient of g_3 by 10^-9 stalls the convergence
+    moved = gs[3] + Poly({(3, 1): F(1, 10**9)})
+    far, near = _limit_errors(moved, 3)
+    assert not 2500 <= far / near <= 40000
+
+
 def test_z_coefficient_recursion():
     for fam in (2, 3):
         rec = sobolev_three_term(fam, 1, 6)
